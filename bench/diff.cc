@@ -45,7 +45,8 @@ void flatten(const json::Value& value, const std::string& path,
     // reordering is not a diff; anything else keys by index.
     for (std::size_t i = 0; i < array->size(); ++i) {
       const json::Value& element = (*array)[i];
-      std::string segment = "[" + std::to_string(i) + "]";
+      std::string segment =
+          std::string{"["}.append(std::to_string(i)).append("]");
       if (const json::Object* record = element.object()) {
         if (const json::Value* name = json::find(*record, "name");
             name != nullptr && name->is_string()) {

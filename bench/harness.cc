@@ -171,7 +171,8 @@ namespace {
   for (const auto& [name, count] : counters) {
     if (!first) out += ", ";
     first = false;
-    out += "\"" + escape_json(name) + "\": " + std::to_string(count);
+    out.append("\"").append(escape_json(name)).append("\": ").append(
+        std::to_string(count));
   }
   out += "}";
   return out;

@@ -11,7 +11,8 @@
 #
 # Optionally (when DIFF and REFERENCE are given) the threads=1 trajectory
 # is also compared against the checked-in reference JSON with acs-bench-diff
-# under generous thresholds — the regression gate.
+# — the regression gate. The trajectories are bitwise deterministic, so the
+# diff is exact (--threshold=0); acs-bench-diff ignores host-timed keys.
 # Inputs: -DBENCH=<bench binary> -DJSON_DIR=<scratch dir>
 #         [-DPREFIX=<output-file prefix, default "serving">]
 #         [-DSTRIP_FIELDS=<;-list of host-timed field names to strip>]
@@ -75,7 +76,7 @@ message(STATUS "${BENCH} trajectories identical for --threads 1/2/8")
 if(DEFINED DIFF AND DEFINED REFERENCE)
   set(current "${JSON_DIR}/BENCH_${PREFIX}_invariance_t1.json")
   execute_process(
-    COMMAND "${DIFF}" "${REFERENCE}" "${current}" --threshold=0.5
+    COMMAND "${DIFF}" "${REFERENCE}" "${current}" --threshold=0
     RESULT_VARIABLE diff_rc
     OUTPUT_VARIABLE diff_out
     ERROR_VARIABLE diff_err
@@ -86,6 +87,6 @@ if(DEFINED DIFF AND DEFINED REFERENCE)
             "checked-in reference (exit ${diff_rc})\n"
             "stdout:\n${diff_out}\nstderr:\n${diff_err}")
   endif()
-  message(STATUS "acs-bench-diff: ${PREFIX} trajectory within thresholds of "
-                 "the checked-in reference")
+  message(STATUS "acs-bench-diff: ${PREFIX} trajectory identical to the "
+                 "checked-in reference")
 endif()

@@ -73,9 +73,9 @@ set_tests_properties(bench_kernels_invariance PROPERTIES
 
 # Thread-invariance pin for the serving tail-latency bench: the trajectory
 # — including the full "serving" percentile section — must be bitwise
-# identical at --threads 1, 2 and 8, and the threads=1 run must stay within
-# generous acs-bench-diff thresholds of the checked-in reference trajectory
-# (the tail-latency regression gate).
+# identical at --threads 1, 2 and 8, and the threads=1 run must match the
+# checked-in reference trajectory exactly under acs-bench-diff (the
+# tail-latency regression gate).
 add_test(NAME bench_serving_invariance
          COMMAND ${CMAKE_COMMAND}
                  -DBENCH=$<TARGET_FILE:bench_serving_tail>

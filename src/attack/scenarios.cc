@@ -577,7 +577,8 @@ DeepHarvestE2E run_deep_harvest_e2e(unsigned b, unsigned paths, u64 machines,
   builder.call(loader);
   std::vector<std::size_t> path_fns;
   for (unsigned k = 0; k < paths; ++k) {
-    const auto pk = builder.begin_function("P" + std::to_string(k));
+    const auto pk =
+        builder.begin_function(std::string{"P"}.append(std::to_string(k)));
     builder.call(fn_c);
     builder.write_int(0x100 + k);  // duplicated iff the bend lands here
     path_fns.push_back(pk);

@@ -158,8 +158,12 @@ class FunctionLowerer {
 
   [[nodiscard]] std::string local_label(std::size_t op_index,
                                         const char* tag) const {
-    return "L" + std::to_string(fn_index_) + "_" + std::to_string(op_index) +
-           "_" + tag;
+    return std::string{"L"}
+        .append(std::to_string(fn_index_))
+        .append("_")
+        .append(std::to_string(op_index))
+        .append("_")
+        .append(tag);
   }
 
   [[nodiscard]] std::string epilogue_label() const {

@@ -389,7 +389,7 @@ EvalResult evaluate_program(const ProgramIr& ir, const OracleConfig& config) {
       plan_config.horizon = config.machine_budget;
       plan_config.mean_interval = config.fault_mean_interval;
       plan_config.kinds = {inject::FaultKind::kRetSlotBitflip};
-      inject::Engine engine({.plan = inject::make_plan(plan_config)});
+      inject::Engine engine({.draw = std::move(plan_config)});
       // Re-fork the scheme's pristine master (same image the baseline ran
       // from) rather than recompiling the program for the injected run.
       const RunOutcome outcome =

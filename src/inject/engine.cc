@@ -1,6 +1,7 @@
 #include "inject/engine.h"
 
 #include <algorithm>
+#include <utility>
 
 namespace acs::inject {
 
@@ -14,7 +15,21 @@ void TaskInjector::record(FaultKind kind, bool guess_success) noexcept {
 
 Engine::Engine(Config config)
     : cpu_cursor_(this), guess_window_(config.guess_window) {
-  for (const PlannedFault& fault : config.plan) {
+  std::vector<PlannedFault> plan;
+  if (config.draw) {
+    PlanCursor cursor(std::move(*config.draw));
+    if (config.plan.empty() && !cursor.two_stream()) {
+      cpu_cursor_.draws_ = cursor.may_yield(/*cpu_level=*/true);
+      draws_kernel_ = cursor.may_yield(/*cpu_level=*/false);
+      lazy_.emplace(std::move(cursor));
+      return;
+    }
+    // Drained up front: the per-level stable sort below then merges a
+    // two-stream plan exactly as make_plan does.
+    for (PlannedFault fault; cursor.next(fault);) plan.push_back(fault);
+  }
+  plan.insert(plan.end(), config.plan.begin(), config.plan.end());
+  for (const PlannedFault& fault : plan) {
     (is_cpu_level(fault.kind) ? cpu_cursor_.faults_ : kernel_faults_)
         .push_back(fault);
   }
@@ -24,6 +39,20 @@ Engine::Engine(Config config)
   std::stable_sort(cpu_cursor_.faults_.begin(), cpu_cursor_.faults_.end(),
                    by_time);
   std::stable_sort(kernel_faults_.begin(), kernel_faults_.end(), by_time);
+}
+
+bool Engine::draw(bool cpu_level, u64 instr) {
+  PlannedFault fault;
+  while (lazy_->next(fault)) {
+    const bool cpu = is_cpu_level(fault.kind);
+    (cpu ? cpu_cursor_.faults_ : kernel_faults_).push_back(fault);
+    if (cpu == cpu_level) return true;
+    if (fault.at_instr >= instr) return false;
+  }
+  lazy_.reset();
+  cpu_cursor_.draws_ = false;
+  draws_kernel_ = false;
+  return false;
 }
 
 TaskInjector* Engine::attach() noexcept {

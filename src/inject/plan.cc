@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <iterator>
+#include <utility>
 
 namespace acs::inject {
 
@@ -20,68 +21,94 @@ const char* fault_kind_name(FaultKind kind) noexcept {
 
 namespace {
 
-/// One renewal process: faults with inter-arrival uniform in
-/// [1, 2*mean_interval], starting at `begin`, strictly before `end`.
-void draw_renewal(const PlanConfig& config, Rng& rng, u64 begin, u64 end,
-                  u64 mean_interval, std::vector<PlannedFault>& plan) {
-  // The random draw set deliberately excludes kStoreWord (which needs a
-  // concrete target) and must stay exactly these six kinds in this order:
-  // seeded campaigns are pinned bit-for-bit across the test suite.
-  static constexpr FaultKind kAllKinds[] = {
-      FaultKind::kRetSlotBitflip, FaultKind::kChainCorrupt,
-      FaultKind::kInstrSkip,      FaultKind::kKeyPerturb,
-      FaultKind::kSigFrameTrash,  FaultKind::kBudgetExhaust,
-  };
-  static_assert(std::size(kAllKinds) == kNumPlannableKinds);
-
-  u64 t = begin;
-  for (;;) {
-    t += 1 + rng.next_below(2 * mean_interval);
-    if (t >= end) break;
-    PlannedFault fault;
-    fault.at_instr = t;
-    fault.kind = config.kinds.empty()
-                     ? kAllKinds[rng.next_below(kNumPlannableKinds)]
-                     : config.kinds[rng.next_below(config.kinds.size())];
-    fault.min_depth =
-        config.max_depth == 0 ? 0 : rng.next_below(config.max_depth);
-    fault.payload = rng.next();
-    plan.push_back(fault);
-  }
-}
+// The random draw set deliberately excludes kStoreWord (which needs a
+// concrete target) and must stay exactly these six kinds in this order:
+// seeded campaigns are pinned bit-for-bit across the test suite.
+constexpr FaultKind kAllKinds[] = {
+    FaultKind::kRetSlotBitflip, FaultKind::kChainCorrupt,
+    FaultKind::kInstrSkip,      FaultKind::kKeyPerturb,
+    FaultKind::kSigFrameTrash,  FaultKind::kBudgetExhaust,
+};
+static_assert(std::size(kAllKinds) == kNumPlannableKinds);
 
 }  // namespace
 
-std::vector<PlannedFault> make_plan(const PlanConfig& config) {
-  std::vector<PlannedFault> plan;
-  if (config.horizon == 0) return plan;
-
-  Rng rng(config.seed);
-  if (config.mean_interval != 0) {
-    draw_renewal(config, rng, 0, config.horizon, config.mean_interval, plan);
+PlanCursor::PlanCursor(PlanConfig config)
+    : config_(std::move(config)),
+      rng_(config_.seed),
+      baseline_(config_.horizon != 0 && config_.mean_interval != 0),
+      burst_(config_.horizon != 0 && config_.burst_len != 0 &&
+             config_.burst_mean_interval != 0 &&
+             config_.burst_start < config_.horizon) {
+  if (baseline_) {
+    end_ = config_.horizon;
+    mean_ = config_.mean_interval;
+  } else {
+    next_stream();
   }
+}
 
+void PlanCursor::next_stream() noexcept {
+  if (!burst_ || in_burst_) {
+    done_ = true;
+    return;
+  }
   // Correlated burst: a second renewal process inside the window, drawn
   // from the same stream *after* the baseline so a disabled burst leaves
-  // the baseline plan bit-identical to older releases.
-  if (config.burst_len != 0 && config.burst_mean_interval != 0 &&
-      config.burst_start < config.horizon) {
-    // Clamp without overflow: horizon - burst_start cannot underflow here
-    // (burst_start < horizon), while burst_start + burst_len could wrap.
-    const u64 burst_end =
-        config.horizon - config.burst_start > config.burst_len
-            ? config.burst_start + config.burst_len
-            : config.horizon;
-    const std::size_t baseline_count = plan.size();
-    draw_renewal(config, rng, config.burst_start, burst_end,
-                 config.burst_mean_interval, plan);
-    std::inplace_merge(plan.begin(),
-                       plan.begin() + static_cast<std::ptrdiff_t>(
-                                          baseline_count),
-                       plan.end(),
-                       [](const PlannedFault& a, const PlannedFault& b) {
-                         return a.at_instr < b.at_instr;
-                       });
+  // the baseline plan bit-identical to older releases. Clamp without
+  // overflow: horizon - burst_start cannot underflow here (burst_start <
+  // horizon), while burst_start + burst_len could wrap.
+  in_burst_ = true;
+  t_ = config_.burst_start;
+  end_ = config_.horizon - config_.burst_start > config_.burst_len
+             ? config_.burst_start + config_.burst_len
+             : config_.horizon;
+  mean_ = config_.burst_mean_interval;
+}
+
+bool PlanCursor::next(PlannedFault& out) {
+  // One renewal process per stream: inter-arrival uniform in
+  // [1, 2*mean_interval], starting at the stream's begin, strictly before
+  // its end. The draw that overshoots the end still consumes the RNG.
+  while (!done_) {
+    t_ += 1 + rng_.next_below(2 * mean_);
+    if (t_ >= end_) {
+      next_stream();
+      continue;
+    }
+    out = PlannedFault{};
+    out.at_instr = t_;
+    out.kind = config_.kinds.empty()
+                   ? kAllKinds[rng_.next_below(kNumPlannableKinds)]
+                   : config_.kinds[rng_.next_below(config_.kinds.size())];
+    out.min_depth =
+        config_.max_depth == 0 ? 0 : rng_.next_below(config_.max_depth);
+    out.payload = rng_.next();
+    return true;
+  }
+  return false;
+}
+
+bool PlanCursor::may_yield(bool cpu_level) const noexcept {
+  if (config_.kinds.empty()) return true;  // all six kinds: both levels
+  return std::any_of(config_.kinds.begin(), config_.kinds.end(),
+                     [cpu_level](FaultKind kind) {
+                       return is_cpu_level(kind) == cpu_level;
+                     });
+}
+
+std::vector<PlannedFault> make_plan(const PlanConfig& config) {
+  std::vector<PlannedFault> plan;
+  PlanCursor cursor(config);
+  for (PlannedFault fault; cursor.next(fault);) plan.push_back(fault);
+  if (cursor.two_stream()) {
+    // Merge the burst into the baseline. Each stream is strictly
+    // increasing, so a stable sort equals a stable merge of the two runs:
+    // on equal times the baseline fault stays first.
+    std::stable_sort(plan.begin(), plan.end(),
+                     [](const PlannedFault& a, const PlannedFault& b) {
+                       return a.at_instr < b.at_instr;
+                     });
   }
   return plan;
 }

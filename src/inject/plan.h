@@ -111,11 +111,50 @@ struct PlanConfig {
   u64 burst_mean_interval = 0;  ///< mean instructions between burst faults
 };
 
+/// Draws a plan one fault at a time, in make_plan's RNG order: the baseline
+/// renewal process first, then the burst's (docs/fault-injection.md "Lazy
+/// plans"). A single-stream cursor (baseline or burst alone) yields its
+/// faults strictly increasing in `at_instr`, so delivery can draw them as
+/// the clock reaches them; a two-stream cursor's output must be merged
+/// first (make_plan does), since the burst is drawn after the baseline.
+class PlanCursor {
+ public:
+  explicit PlanCursor(PlanConfig config);
+
+  /// The next fault in draw order; false once every stream is exhausted.
+  [[nodiscard]] bool next(PlannedFault& out);
+
+  /// True when both the baseline and the burst process are enabled.
+  [[nodiscard]] bool two_stream() const noexcept {
+    return baseline_ && burst_;
+  }
+
+  /// Whether this cursor can ever yield a CPU-level (`cpu_level == true`)
+  /// or kernel-level fault — from the configured kinds alone, no draws.
+  [[nodiscard]] bool may_yield(bool cpu_level) const noexcept;
+
+ private:
+  /// Enter the burst stream when it is configured and not yet entered;
+  /// otherwise the cursor is exhausted.
+  void next_stream() noexcept;
+
+  PlanConfig config_;
+  Rng rng_;
+  bool baseline_;
+  bool burst_;
+  bool in_burst_ = false;
+  bool done_ = false;
+  u64 t_ = 0;     ///< last drawn time of the current stream
+  u64 end_ = 0;   ///< current stream's window end (exclusive)
+  u64 mean_ = 0;  ///< current stream's mean inter-arrival
+};
+
 /// Build a plan: fault times are a renewal process with inter-arrival
 /// uniform in [1, 2*mean_interval], kinds/depths/payloads drawn from the
 /// seeded RNG; a configured burst adds a second renewal process inside
 /// its window, drawn after the baseline from the same seeded stream. The
-/// merged plan is sorted by `at_instr`; pure function of the config.
+/// merged plan is sorted by `at_instr`; pure function of the config. This
+/// is a PlanCursor drained to exhaustion.
 [[nodiscard]] std::vector<PlannedFault> make_plan(const PlanConfig& config);
 
 }  // namespace acs::inject

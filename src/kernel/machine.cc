@@ -654,9 +654,10 @@ Stop Machine::run(u64 max_instructions) {
 
     sim::Cpu& cpu = task->cpu();
     // One scheduling quantum through Cpu::run — the tight decoded-dispatch
-    // loop when no breakpoints/injector/trace are attached. last_run_steps
-    // counts every step() slot (including faulting and injected-skip
-    // steps), keeping `executed` accounting identical to stepping here.
+    // loop when no breakpoints/trace are attached (an injector steps only
+    // its faults' due windows). last_run_steps counts every step() slot
+    // (including faulting and injected-skip steps), keeping `executed`
+    // accounting identical to stepping here.
     const sim::RunState state = cpu.run(options_.time_slice);
     executed += cpu.last_run_steps();
     if (state == sim::RunState::kSvc) {

@@ -1,5 +1,6 @@
 #include "sim/cpu.h"
 
+#include <algorithm>
 #include <utility>
 
 #include "common/bitops.h"
@@ -663,8 +664,24 @@ RunState Cpu::run(u64 max_steps) {
   steps_exhausted_ = false;
   u64 steps = 0;
   if (dispatch_ == DispatchMode::kDecoded && breakpoints_.empty() &&
-      inject_ == nullptr && trace_ring_.empty()) {
-    steps = run_fast(max_steps);
+      trace_ring_.empty()) {
+    if (inject_ == nullptr) {
+      steps = run_fast(max_steps);
+    } else {
+      // Under injection, run_fast covers each stretch in which no planned
+      // fault can be due (due() would only return false there); the due
+      // window itself, and any pc-triggered fault, goes through step().
+      while (steps < max_steps && state_ == RunState::kReady) {
+        const u64 quiet =
+            std::min(max_steps - steps, inject_->quiet_steps(instructions_));
+        if (quiet != 0) {
+          steps += run_fast(quiet);
+        } else {
+          step();
+          ++steps;
+        }
+      }
+    }
   } else {
     for (; steps < max_steps && state_ == RunState::kReady; ++steps) step();
   }

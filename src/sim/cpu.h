@@ -84,9 +84,11 @@ class Cpu {
   RunState step();
 
   /// Run until a non-ready state or `max_steps` instructions. When no
-  /// breakpoints, injector or trace ring are attached and dispatch is
-  /// kDecoded, this uses a tight fetch/dispatch loop that hoists the
-  /// per-step breakpoint and region lookups out of the hot path.
+  /// breakpoints or trace ring are attached and dispatch is kDecoded, this
+  /// uses a tight fetch/dispatch loop that hoists the per-step breakpoint
+  /// and region lookups out of the hot path. An attached injector keeps
+  /// that loop up to its next count-triggered fault; only the fault's due
+  /// window and pc-triggered faults take per-step step() calls.
   RunState run(u64 max_steps = 100'000'000);
 
   /// True when the last run() stopped because it used up `max_steps` while
@@ -153,8 +155,9 @@ class Cpu {
 
   // --- fault injection -----------------------------------------------------
   /// Attach the CPU-level fault-injection cursor (nullptr detaches). Like
-  /// the observer, a detached hook is one never-taken null check per step;
-  /// see docs/fault-injection.md for the fault semantics.
+  /// the observer, a detached hook is one never-taken null check per step
+  /// (per run() call on the fast path); see docs/fault-injection.md for
+  /// the fault semantics.
   void set_injector(inject::TaskInjector* injector) noexcept {
     inject_ = injector;
   }

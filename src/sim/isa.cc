@@ -14,7 +14,7 @@ bool Program::is_function_entry(u64 addr) const noexcept {
 std::string reg_name(Reg r) {
   if (r == Reg::kSp) return "sp";
   if (r == Reg::kXzr) return "xzr";
-  return "x" + std::to_string(static_cast<unsigned>(r));
+  return std::string{"x"}.append(std::to_string(static_cast<unsigned>(r)));
 }
 
 }  // namespace acs::sim

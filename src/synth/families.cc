@@ -51,7 +51,8 @@ std::vector<KernelSpec> sweep_specs(bool smoke) {
     for (double prob : {0.5, 0.125}) {
       if (smoke && prob != 0.5) continue;
       p.geometric_p = prob;
-      add(out, "geo", "p" + std::to_string(prob).substr(0, 5), p);
+      add(out, "geo",
+          std::string{"p"}.append(std::to_string(prob).substr(0, 5)), p);
     }
   }
 
@@ -65,7 +66,8 @@ std::vector<KernelSpec> sweep_specs(bool smoke) {
     for (double s : {0.0, 1.0, 2.0}) {
       if (smoke && s != 1.0) continue;
       p.zipf_s = s;
-      add(out, "zipf", "s" + std::to_string(s).substr(0, 3), p);
+      add(out, "zipf",
+          std::string{"s"}.append(std::to_string(s).substr(0, 3)), p);
     }
   }
 
@@ -76,7 +78,8 @@ std::vector<KernelSpec> sweep_specs(bool smoke) {
     for (double ratio : {0.5, 1.0}) {
       if (smoke && ratio != 1.0) continue;
       p.recursion_ratio = ratio;
-      add(out, "recurse", "r" + std::to_string(ratio).substr(0, 3), p);
+      add(out, "recurse",
+          std::string{"r"}.append(std::to_string(ratio).substr(0, 3)), p);
     }
   }
 
@@ -89,7 +92,8 @@ std::vector<KernelSpec> sweep_specs(bool smoke) {
       if (smoke && mix != 0.5) continue;
       p.setjmp_mix = mix;
       p.exception_mix = mix;
-      add(out, "unwind", "m" + std::to_string(mix).substr(0, 4), p);
+      add(out, "unwind",
+          std::string{"m"}.append(std::to_string(mix).substr(0, 4)), p);
     }
   }
 
@@ -109,7 +113,7 @@ std::vector<KernelSpec> sweep_specs(bool smoke) {
     for (u64 bytes : {u64{256}, u64{512}}) {
       if (smoke && bytes != 256) continue;
       p.frame_bytes = bytes;
-      add(out, "membound", "b" + std::to_string(bytes), p);
+      add(out, "membound", std::string{"b"}.append(std::to_string(bytes)), p);
     }
   }
 

@@ -143,7 +143,7 @@ FleetResult run_worker_fleet(compiler::Scheme scheme, const FleetConfig& config,
             plan_config.mean_interval = static_cast<u64>(
                 1e6 / config.faults_per_million);
             plan_config.kinds = config.fault_kinds;
-            engine_config.plan = inject::make_plan(plan_config);
+            engine_config.draw = std::move(plan_config);
           }
           if (config.guess_window > 0) {
             // The Section 6.1 adversary: one guess per generation, window

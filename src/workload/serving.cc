@@ -165,7 +165,7 @@ ServingResult run_serving_simulation(compiler::Scheme scheme,
             plan_config.mean_interval =
                 static_cast<u64>(1e6 / config.faults_per_million);
             plan_config.kinds = config.fault_kinds;
-            engine_config.plan = inject::make_plan(plan_config);
+            engine_config.draw = std::move(plan_config);
           }
           inject::Engine engine(std::move(engine_config));
 

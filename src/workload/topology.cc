@@ -274,10 +274,7 @@ TopologyResult run_topology_simulation(compiler::Scheme scheme,
             plan_config.burst_mean_interval =
                 static_cast<u64>(1e6 / config.storm_faults_per_million);
           }
-          if (plan_config.mean_interval != 0 ||
-              plan_config.burst_mean_interval != 0) {
-            engine_config.plan = inject::make_plan(plan_config);
-          }
+          engine_config.draw = std::move(plan_config);
           inject::Engine engine(std::move(engine_config));
 
           kernel::MachineOptions options;
