@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <deque>
+#include <optional>
 #include <queue>
 #include <stdexcept>
 
@@ -59,17 +60,15 @@ struct AttemptOutcome {
   bool crashed = false;
 };
 
-/// Precomputed machine outcomes for one (request, tier, attempt slot):
-/// the normal variant and — on the storm tier — the stormed variant.
-struct SlotOutcome {
-  AttemptOutcome normal;
-  AttemptOutcome stormed;
-};
-
+/// Per-request draws, plus the memo of machine outcomes. Each attempt is
+/// a pure function of (slot_salt, tier, slot, stormed) — attempt_index()
+/// names its seed index and its memo entry — so simulating it early, late
+/// or never leaves every other attempt unchanged.
 struct RequestPre {
+  u64 slot_salt = 0;
   unsigned cls = 0;
   bool low_priority = false;
-  std::vector<SlotOutcome> slots;  ///< index: tier * slots_per_tier + slot
+  std::vector<std::optional<AttemptOutcome>> outcomes;
 };
 
 unsigned pick_class(const std::vector<ServiceClass>& classes, Rng& rng) {
@@ -137,7 +136,7 @@ struct RequestState {
   bool hedged_this_tier = false;
   bool done = false;
   bool completed = false;
-  std::vector<u8> next_slot;  ///< per tier: next precomputed attempt slot
+  std::vector<u8> next_slot;  ///< per tier: next attempt slot
   std::vector<u8> retried;    ///< per tier: retries consumed
 };
 
@@ -239,85 +238,80 @@ TopologyResult run_topology_simulation(compiler::Scheme scheme,
                                ? config.hang_timeout_cycles
                                : 6 * std::max<u64>(1, mean_service);
 
-  // ---- Stage 1 (parallel): per-(request, tier, slot) outcomes ----------
-  // Both variants of every slot are precomputed so stage 2's choice of
-  // attempt count and storm exposure cannot perturb any other request's
-  // stream — the exec::parallel_map_trials determinism contract.
-  const auto pre = exec::parallel_map_trials<RequestPre>(
+  // Seed and memo index of one attempt: the normal and stormed variants
+  // of every (tier, slot) draw from distinct trial_seed streams.
+  const auto attempt_index = [&](unsigned tier, unsigned slot, bool stormed) {
+    return (static_cast<u64>(tier) * slots_per_tier + slot) * 2 +
+           (stormed ? 1 : 0);
+  };
+  // One attempt: a CoW fork of the class master with fresh keys and its
+  // own lazily drawn fault plan, run to exit, crash or the watchdog.
+  const auto run_attempt = [&](const RequestPre& p, unsigned tier,
+                               unsigned slot, bool stormed) {
+    const u64 idx = attempt_index(tier, slot, stormed);
+    inject::Engine::Config engine_config;
+    inject::PlanConfig plan_config;
+    plan_config.seed = exec::trial_seed(p.slot_salt ^ 0xfa, idx);
+    plan_config.horizon = config.attempt_instr_budget;
+    plan_config.kinds = config.fault_kinds;
+    if (config.faults_per_million > 0) {
+      plan_config.mean_interval =
+          static_cast<u64>(1e6 / config.faults_per_million);
+    }
+    if (stormed) {
+      // The correlated burst covers the whole attempt: from the attempt's
+      // point of view the pool is inside the storm.
+      plan_config.burst_start = 0;
+      plan_config.burst_len = config.attempt_instr_budget;
+      plan_config.burst_mean_interval =
+          static_cast<u64>(1e6 / config.storm_faults_per_million);
+    }
+    engine_config.draw = std::move(plan_config);
+    inject::Engine engine(std::move(engine_config));
+
+    kernel::MachineOptions options;
+    // Fresh keys every attempt (rekey).
+    options.seed = exec::trial_seed(p.slot_salt, idx);
+    options.injector = &engine;
+    kernel::Machine machine(masters[p.cls], options);
+    const kernel::Stop stop = machine.run(config.attempt_instr_budget);
+    const auto& process = machine.init_process();
+    AttemptOutcome outcome;
+    outcome.cycles = std::max<u64>(1, process.cycles());
+    outcome.cow_pages = process.mem.private_pages();
+    outcome.crashed = stop.reason == kernel::StopReason::kMaxInstructions ||
+                      process.state != kernel::ProcessState::kExited ||
+                      process.exit_code != 0;
+    // Hangs (runaways and injected watchdog kills) hold the worker until
+    // the supervisor's hang timeout fires; clean crashes are detected
+    // immediately.
+    const bool hung =
+        stop.reason == kernel::StopReason::kMaxInstructions ||
+        (process.state == kernel::ProcessState::kKilled &&
+         process.kill_fault.kind == sim::FaultKind::kInstrBudget);
+    if (hung) outcome.cycles = std::max(outcome.cycles, hang_timeout);
+    return outcome;
+  };
+
+  // ---- Stage 1 (parallel): per-request draws and first attempts --------
+  // Only what nearly every request needs: its class, priority and slot
+  // salt, and each tier's first normal attempt. Retries, hedges and
+  // stormed attempts are simulated on demand by stage 2.
+  auto pre = exec::parallel_map_trials<RequestPre>(
       config.requests, config.seed ^ kTopoRequestSalt,
       [&](u64 request, u64 request_seed) {
         (void)request;
         Rng seeder(request_seed);
-        const u64 slot_salt = seeder.next();
         RequestPre out;
+        out.slot_salt = seeder.next();
         out.cls = pick_class(classes, seeder);
         out.low_priority =
             seeder.next_below(1000) < config.low_priority_permille;
-        out.slots.resize(static_cast<std::size_t>(tiers) * slots_per_tier);
-
-        const auto run_attempt = [&](u64 machine_seed, u64 plan_seed,
-                                     bool stormed) {
-          inject::Engine::Config engine_config;
-          inject::PlanConfig plan_config;
-          plan_config.seed = plan_seed;
-          plan_config.horizon = config.attempt_instr_budget;
-          plan_config.kinds = config.fault_kinds;
-          if (config.faults_per_million > 0) {
-            plan_config.mean_interval =
-                static_cast<u64>(1e6 / config.faults_per_million);
-          }
-          if (stormed) {
-            // The correlated burst covers the whole attempt: from the
-            // attempt's point of view the pool is inside the storm.
-            plan_config.burst_start = 0;
-            plan_config.burst_len = config.attempt_instr_budget;
-            plan_config.burst_mean_interval =
-                static_cast<u64>(1e6 / config.storm_faults_per_million);
-          }
-          engine_config.draw = std::move(plan_config);
-          inject::Engine engine(std::move(engine_config));
-
-          kernel::MachineOptions options;
-          options.seed = machine_seed;  // fresh keys every attempt (rekey)
-          options.injector = &engine;
-          kernel::Machine machine(masters[out.cls], options);
-          const kernel::Stop stop = machine.run(config.attempt_instr_budget);
-          const auto& process = machine.init_process();
-          AttemptOutcome outcome;
-          outcome.cycles = std::max<u64>(1, process.cycles());
-          outcome.cow_pages = process.mem.private_pages();
-          outcome.crashed =
-              stop.reason == kernel::StopReason::kMaxInstructions ||
-              process.state != kernel::ProcessState::kExited ||
-              process.exit_code != 0;
-          // Hangs (runaways and injected watchdog kills) hold the worker
-          // until the supervisor's hang timeout fires; clean crashes are
-          // detected immediately.
-          const bool hung =
-              stop.reason == kernel::StopReason::kMaxInstructions ||
-              (process.state == kernel::ProcessState::kKilled &&
-               process.kill_fault.kind == sim::FaultKind::kInstrBudget);
-          if (hung) outcome.cycles = std::max(outcome.cycles, hang_timeout);
-          return outcome;
-        };
-
+        out.outcomes.resize(static_cast<std::size_t>(tiers) * slots_per_tier *
+                            2);
         for (unsigned t = 0; t < tiers; ++t) {
-          for (unsigned a = 0; a < slots_per_tier; ++a) {
-            const u64 idx =
-                (static_cast<u64>(t) * slots_per_tier + a) * 2;
-            SlotOutcome& slot = out.slots[static_cast<std::size_t>(t) *
-                                              slots_per_tier +
-                                          a];
-            slot.normal = run_attempt(exec::trial_seed(slot_salt, idx),
-                                      exec::trial_seed(slot_salt ^ 0xfa, idx),
-                                      /*stormed=*/false);
-            if (storm_configured && t == config.storm_tier) {
-              slot.stormed =
-                  run_attempt(exec::trial_seed(slot_salt, idx + 1),
-                              exec::trial_seed(slot_salt ^ 0xfa, idx + 1),
-                              /*stormed=*/true);
-            }
-          }
+          out.outcomes[attempt_index(t, 0, /*stormed=*/false)] =
+              run_attempt(out, t, 0, /*stormed=*/false);
         }
         return out;
       },
@@ -329,6 +323,7 @@ TopologyResult run_topology_simulation(compiler::Scheme scheme,
   result.mean_service_cycles = mean_service;
   result.mean_interarrival_cycles = mean_interarrival;
   result.deadline_cycles = deadline;
+  result.attempts_simulated = config.requests * tiers;  // stage 1's share
   result.tiers.resize(tiers);
   for (const char* cause : {"queue-full", "shed-low-priority", "breaker-open",
                             "expired", "retry-exhausted", "retry-budget"}) {
@@ -462,6 +457,21 @@ TopologyResult run_topology_simulation(compiler::Scheme scheme,
     result.makespan_cycles = std::max(result.makespan_cycles, ts);
   };
 
+  // An attempt's outcome, simulated on first use. Stage 2 is sequential,
+  // so the memo needs no lock, and each attempt depends only on its own
+  // seeds, so the order of first use changes no outcome.
+  const auto outcome_of = [&](u64 r, unsigned tier, unsigned slot,
+                              bool stormed) -> const AttemptOutcome& {
+    RequestPre& p = pre[r];
+    std::optional<AttemptOutcome>& memo =
+        p.outcomes[attempt_index(tier, slot, stormed)];
+    if (!memo) {
+      memo = run_attempt(p, tier, slot, stormed);
+      ++result.attempts_simulated;
+    }
+    return *memo;
+  };
+
   // Dispatch as many queued entries as the pool has free workers.
   const auto try_dispatch = [&](unsigned tier, unsigned pool, u64 ts) {
     PoolState& ps = pool_state[tier][pool];
@@ -498,13 +508,10 @@ TopologyResult run_topology_simulation(compiler::Scheme scheme,
         continue;
       }
 
-      const unsigned slot = rs.next_slot[tier]++;
-      const RequestPre& p = pre[entry.request];
-      const SlotOutcome& so =
-          p.slots[static_cast<std::size_t>(tier) * slots_per_tier +
-                  std::min<unsigned>(slot, slots_per_tier - 1)];
+      const unsigned slot =
+          std::min<unsigned>(rs.next_slot[tier]++, slots_per_tier - 1);
       const AttemptOutcome& outcome =
-          in_storm(tier, pool, ts) ? so.stormed : so.normal;
+          outcome_of(entry.request, tier, slot, in_storm(tier, pool, ts));
 
       ++ps.busy;
       ++tier_inflight[tier];

@@ -44,12 +44,14 @@
 // stale work never drains ahead of fresh arrivals), while retry-budget +
 // breaker + shedding recovers within the same trace.
 //
-// Determinism: stage 1 precomputes every (request, tier, attempt-slot)
-// machine outcome — normal and stormed variants — with
-// exec::parallel_map_trials; stage 2 is a sequential integer event-driven
-// simulation over a (time, seq)-ordered queue. Every output, including
-// per-phase goodput and all percentile trajectories, is bitwise identical
-// for any --threads value.
+// Determinism: every attempt's machine outcome is a pure function of
+// (request seed, tier, attempt slot, stormed). Stage 1 draws each
+// request's class and priority and simulates each tier's first normal
+// attempt with exec::parallel_map_trials; stage 2 is a sequential integer
+// event-driven simulation over a (time, seq)-ordered queue that simulates
+// retries, hedges and stormed attempts on first dispatch and memoizes
+// them. Every output, including per-phase goodput and all percentile
+// trajectories, is bitwise identical for any --threads value.
 #pragma once
 
 #include <map>
@@ -196,6 +198,9 @@ struct TopologyResult {
   u64 breaker_trips = 0;
   u64 breaker_probes = 0;
   u64 forks = 0;  ///< CoW machines dispatched (one per started attempt)
+  /// Attempt machines the engine ran: stage 1's first attempts plus the
+  /// ones stage 2 simulated on demand. Not emitted as a metric.
+  u64 attempts_simulated = 0;
   u64 cow_pages_copied = 0;
   u64 backoff_cycles = 0;
 

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <ostream>
 
 #include "common/rng.h"
 #include "sim/assembler.h"
@@ -107,6 +108,23 @@ TEST_P(CpuCondTest, ConditionalBranch) {
   EXPECT_EQ(h.cpu().reg(Reg::kX2), c.taken ? 2U : 1U);
 }
 
+// Prints a case as e.g. "Lt_m1_0_taken": both its test name and its
+// GetParam() text, so ctest names are stable. gtest's default would print
+// CondCase's raw bytes, padding included.
+void PrintTo(const CondCase& c, std::ostream* os) {
+  static constexpr const char* kCondNames[] = {"Eq", "Ne", "Lt", "Ge",
+                                               "Gt", "Le", "Lo", "Hs"};
+  const auto operand = [os](i64 v) {
+    if (v < 0) *os << 'm';
+    *os << (v < 0 ? -v : v);
+  };
+  *os << kCondNames[static_cast<unsigned>(c.cond)] << '_';
+  operand(c.lhs);
+  *os << '_';
+  operand(c.rhs);
+  *os << (c.taken ? "_taken" : "_fallthrough");
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Conditions, CpuCondTest,
     ::testing::Values(CondCase{Cond::kEq, 5, 5, true},
@@ -124,7 +142,8 @@ INSTANTIATE_TEST_SUITE_P(
                       CondCase{Cond::kLo, 1, 2, true},
                       CondCase{Cond::kLo, 2, 1, false},
                       CondCase{Cond::kHs, 2, 2, true},
-                      CondCase{Cond::kHs, 1, 2, false}));
+                      CondCase{Cond::kHs, 1, 2, false}),
+    ::testing::PrintToStringParamName());
 
 TEST(Cpu, LoadStoreAddressingModes) {
   CpuHarness h([](Assembler& as) {

@@ -312,6 +312,7 @@ TEST(Topology, ResultsAreThreadCountInvariant) {
   EXPECT_EQ(a.breaker_trips, b.breaker_trips);
   EXPECT_EQ(a.breaker_probes, b.breaker_probes);
   EXPECT_EQ(a.forks, b.forks);
+  EXPECT_EQ(a.attempts_simulated, b.attempts_simulated);
   EXPECT_EQ(a.cow_pages_copied, b.cow_pages_copied);
   EXPECT_EQ(a.backoff_cycles, b.backoff_cycles);
   EXPECT_EQ(a.drops, b.drops);
@@ -331,6 +332,32 @@ TEST(Topology, ResultsAreThreadCountInvariant) {
   // The span/gauge timeline replays to the byte.
   EXPECT_EQ(a.trace_json, b.trace_json);
   EXPECT_FALSE(a.trace_json.empty());
+}
+
+// --- demand-driven attempts -----------------------------------------------
+
+TEST(Topology, SimulatesNearlyOnlyTheAttemptsItDispatches) {
+  // Stage 1 runs only each tier's first normal attempt; retries, hedges
+  // and stormed attempts are simulated when stage 2 dispatches them. An
+  // eager precompute of every slot would run far more machines than it
+  // forks. Breaker-shed wastes the most: its drops discard a slot 0.
+  TopologyConfig config = storm_config();
+  const u64 slots_per_tier = config.max_restarts + 1;
+  const u64 all_slots = config.requests * config.tiers * slots_per_tier;
+  u64 forks = 0;
+  u64 simulated = 0;
+  for (const Mitigation arm : {Mitigation::kNone, Mitigation::kRetryBudget,
+                               Mitigation::kBreakerShed}) {
+    apply_mitigation(config, arm);
+    const auto r = run_topology_simulation(Scheme::kPacStack, config);
+    SCOPED_TRACE(mitigation_name(arm));
+    EXPECT_GE(r.attempts_simulated, config.requests * config.tiers);
+    EXPECT_LT(r.attempts_simulated, all_slots);
+    EXPECT_GE(r.forks * 10, r.attempts_simulated * 8);
+    forks += r.forks;
+    simulated += r.attempts_simulated;
+  }
+  EXPECT_GE(forks * 10, simulated * 9);
 }
 
 // --- observability --------------------------------------------------------
