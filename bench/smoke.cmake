@@ -2,7 +2,8 @@
 # emit a JSON trajectory that bench_json_check accepts. Each test runs
 # <bench> --smoke --threads=2 --json=<file> and then validates the file;
 # run_smoke.cmake chains the two steps so a crashed bench (or unwritable
-# JSON) fails the test rather than silently passing.
+# JSON) fails the test rather than silently passing. The serving benches
+# also write their span trace (--trace), validated as a Chrome trace.
 
 set(ACS_SMOKE_BENCHES
   bench_table1_security
@@ -23,12 +24,20 @@ set(ACS_SMOKE_BENCHES
   bench_kernel_sweep
 )
 
+set(ACS_TRACED_SMOKE_BENCHES bench_serving_tail bench_serving_topology)
+
 foreach(bench_name IN LISTS ACS_SMOKE_BENCHES)
+  set(trace_arg "")
+  if(bench_name IN_LIST ACS_TRACED_SMOKE_BENCHES)
+    set(trace_arg
+        -DTRACE=${CMAKE_CURRENT_BINARY_DIR}/TRACE_${bench_name}.json)
+  endif()
   add_test(NAME bench_smoke_${bench_name}
            COMMAND ${CMAKE_COMMAND}
                    -DBENCH=$<TARGET_FILE:${bench_name}>
                    -DCHECKER=$<TARGET_FILE:bench_json_check>
                    -DJSON=${CMAKE_CURRENT_BINARY_DIR}/BENCH_${bench_name}.json
+                   ${trace_arg}
                    -P ${CMAKE_CURRENT_SOURCE_DIR}/run_smoke.cmake)
   set_tests_properties(bench_smoke_${bench_name} PROPERTIES
                        LABELS "bench_smoke" TIMEOUT 300)

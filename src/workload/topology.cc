@@ -1,6 +1,7 @@
 #include "workload/topology.h"
 
 #include <algorithm>
+#include <array>
 #include <deque>
 #include <optional>
 #include <queue>
@@ -60,10 +61,11 @@ struct AttemptOutcome {
   bool crashed = false;
 };
 
-/// Per-request draws, plus the memo of machine outcomes. Each attempt is
-/// a pure function of (slot_salt, tier, slot, stormed) — attempt_index()
-/// names its seed index and its memo entry — so simulating it early, late
-/// or never leaves every other attempt unchanged.
+/// Per-request draws, plus the memo of simulated machine outcomes (sized
+/// on first use). Each attempt is a pure function of (slot_salt, tier,
+/// slot, stormed) — attempt_index() names its seed index and its memo
+/// entry — so simulating it early, late or never leaves every other
+/// attempt unchanged.
 struct RequestPre {
   u64 slot_salt = 0;
   unsigned cls = 0;
@@ -200,23 +202,43 @@ TopologyResult run_topology_simulation(compiler::Scheme scheme,
                          kernel::MachineOptions{});
   }
 
-  // Calibration, exactly like serving.cc: weighted mean service cycles of
-  // one clean fork per class sets the arrival rate for the offered load.
+  // Calibration: the weighted mean service cycles of one clean fork per
+  // class set the arrival rate for the offered load. A second clean fork
+  // under other keys checks the premise of clean-outcome reuse: with no
+  // fault delivered, keys change PAC bits but never control flow
+  // (PACStack's correctness property), so every fault-free attempt of a
+  // class has exactly that class's clean outcome.
+  std::vector<AttemptOutcome> clean(classes.size());
   u64 mean_service = 0;
   u64 weight_total = 0;
   for (std::size_t i = 0; i < classes.size(); ++i) {
-    kernel::MachineOptions options;
-    options.seed = exec::trial_seed(config.seed ^ kTopoRequestSalt, i);
-    kernel::Machine probe(masters[i], options);
-    (void)probe.run(config.attempt_instr_budget);
-    const auto& process = probe.init_process();
-    if (process.state != kernel::ProcessState::kExited ||
-        process.exit_code != 0) {
+    const auto clean_run = [&](u64 seed_index) {
+      kernel::MachineOptions options;
+      options.seed =
+          exec::trial_seed(config.seed ^ kTopoRequestSalt, seed_index);
+      kernel::Machine probe(masters[i], options);
+      (void)probe.run(config.attempt_instr_budget);
+      const auto& process = probe.init_process();
+      if (process.state != kernel::ProcessState::kExited ||
+          process.exit_code != 0) {
+        throw std::runtime_error{
+            "run_topology_simulation: calibration run crashed for class " +
+            std::string(classes[i].name)};
+      }
+      // {cycles, instructions, CoW pages}: what an attempt's outcome reads.
+      return std::array<u64, 3>{process.cycles(), probe.total_instructions(),
+                                process.mem.private_pages()};
+    };
+    const auto first = clean_run(i);
+    if (clean_run(classes.size() + i) != first) {
       throw std::runtime_error{
-          "run_topology_simulation: calibration run crashed for class " +
-          std::string(classes[i].name)};
+          "run_topology_simulation: clean runs of class " +
+          std::string(classes[i].name) +
+          " differ between key seeds; fault-free attempts cannot share "
+          "one outcome"};
     }
-    mean_service += process.cycles() * classes[i].weight_permille;
+    clean[i] = {.cycles = std::max<u64>(1, first[0]), .cow_pages = first[2]};
+    mean_service += first[0] * classes[i].weight_permille;
     weight_total += classes[i].weight_permille;
   }
   mean_service /= std::max<u64>(1, weight_total);
@@ -293,29 +315,17 @@ TopologyResult run_topology_simulation(compiler::Scheme scheme,
     return outcome;
   };
 
-  // ---- Stage 1 (parallel): per-request draws and first attempts --------
-  // Only what nearly every request needs: its class, priority and slot
-  // salt, and each tier's first normal attempt. Retries, hedges and
-  // stormed attempts are simulated on demand by stage 2.
-  auto pre = exec::parallel_map_trials<RequestPre>(
-      config.requests, config.seed ^ kTopoRequestSalt,
-      [&](u64 request, u64 request_seed) {
-        (void)request;
-        Rng seeder(request_seed);
-        RequestPre out;
-        out.slot_salt = seeder.next();
-        out.cls = pick_class(classes, seeder);
-        out.low_priority =
-            seeder.next_below(1000) < config.low_priority_permille;
-        out.outcomes.resize(static_cast<std::size_t>(tiers) * slots_per_tier *
-                            2);
-        for (unsigned t = 0; t < tiers; ++t) {
-          out.outcomes[attempt_index(t, 0, /*stormed=*/false)] =
-              run_attempt(out, t, 0, /*stormed=*/false);
-        }
-        return out;
-      },
-      config.threads);
+  // ---- Stage 1: per-request draws --------------------------------------
+  // Each request's class, priority and slot salt. Stage 2 simulates the
+  // attempts a fault can reach on first dispatch.
+  std::vector<RequestPre> pre(config.requests);
+  for (u64 r = 0; r < config.requests; ++r) {
+    Rng seeder(exec::trial_seed(config.seed ^ kTopoRequestSalt, r));
+    pre[r].slot_salt = seeder.next();
+    pre[r].cls = pick_class(classes, seeder);
+    pre[r].low_priority =
+        seeder.next_below(1000) < config.low_priority_permille;
+  }
 
   // ---- Stage 2 (sequential): the event-driven topology -----------------
   TopologyResult result;
@@ -323,7 +333,7 @@ TopologyResult run_topology_simulation(compiler::Scheme scheme,
   result.mean_service_cycles = mean_service;
   result.mean_interarrival_cycles = mean_interarrival;
   result.deadline_cycles = deadline;
-  result.attempts_simulated = config.requests * tiers;  // stage 1's share
+  result.attempts_simulated = 2 * classes.size();  // calibration's forks
   result.tiers.resize(tiers);
   for (const char* cause : {"queue-full", "shed-low-priority", "breaker-open",
                             "expired", "retry-exhausted", "retry-budget"}) {
@@ -457,12 +467,17 @@ TopologyResult run_topology_simulation(compiler::Scheme scheme,
     result.makespan_cycles = std::max(result.makespan_cycles, ts);
   };
 
-  // An attempt's outcome, simulated on first use. Stage 2 is sequential,
+  // An attempt's outcome. One no fault can reach is its class's clean
+  // outcome; any other is simulated on first use. Stage 2 is sequential,
   // so the memo needs no lock, and each attempt depends only on its own
   // seeds, so the order of first use changes no outcome.
   const auto outcome_of = [&](u64 r, unsigned tier, unsigned slot,
                               bool stormed) -> const AttemptOutcome& {
     RequestPre& p = pre[r];
+    if (!stormed && config.faults_per_million == 0) return clean[p.cls];
+    if (p.outcomes.empty()) {
+      p.outcomes.resize(static_cast<std::size_t>(tiers) * slots_per_tier * 2);
+    }
     std::optional<AttemptOutcome>& memo =
         p.outcomes[attempt_index(tier, slot, stormed)];
     if (!memo) {

@@ -44,14 +44,25 @@
 // stale work never drains ahead of fresh arrivals), while retry-budget +
 // breaker + shedding recovers within the same trace.
 //
+// Clean-outcome reuse: an attempt no fault can reach (not stormed, and
+// `faults_per_million` == 0) is not simulated. With no fault delivered,
+// fresh keys change an attempt's PAC bits but never its control flow — a
+// correctly signed return address always authenticates (PACStack's
+// correctness property) — so its outcome is its class's clean outcome,
+// which calibration computes. Calibration runs two clean forks per class
+// under distinct key seeds and throws std::runtime_error if their cycles,
+// instruction counts, CoW pages or exit status differ
+// (tests/workload/key_independence_test.cc sweeps the same property over
+// every scheme). Every attempt a fault can reach is simulated.
+//
 // Determinism: every attempt's machine outcome is a pure function of
 // (request seed, tier, attempt slot, stormed). Stage 1 draws each
-// request's class and priority and simulates each tier's first normal
-// attempt with exec::parallel_map_trials; stage 2 is a sequential integer
-// event-driven simulation over a (time, seq)-ordered queue that simulates
-// retries, hedges and stormed attempts on first dispatch and memoizes
-// them. Every output, including per-phase goodput and all percentile
-// trajectories, is bitwise identical for any --threads value.
+// request's class, priority and slot salt sequentially. Stage 2 is a
+// sequential integer event-driven simulation over a (time, seq)-ordered
+// queue that simulates each attempt a fault can reach on first dispatch
+// and memoizes it. The engine runs on one host thread, so every output,
+// including per-phase goodput and all percentile trajectories, is the
+// same for any --threads value.
 #pragma once
 
 #include <map>
@@ -145,7 +156,9 @@ struct TopologyConfig {
   u64 hang_timeout_cycles = 0;
   u64 gauge_cadence_cycles = 50'000;
   u64 seed = 42;
-  unsigned threads = 1;  ///< host threads (0 = all); never changes results
+  /// Host threads. Inert: the engine is sequential. Kept because callers
+  /// (benches, perfbench) still set it.
+  unsigned threads = 1;
 
   // --- observability (see docs/observability.md) ------------------------
   bool collect_metrics = false;
@@ -198,8 +211,10 @@ struct TopologyResult {
   u64 breaker_trips = 0;
   u64 breaker_probes = 0;
   u64 forks = 0;  ///< CoW machines dispatched (one per started attempt)
-  /// Attempt machines the engine ran: stage 1's first attempts plus the
-  /// ones stage 2 simulated on demand. Not emitted as a metric.
+  /// Machines the engine ran: calibration's two forks per class plus the
+  /// attempts it simulated (those a fault can reach). Fault-free attempts
+  /// reuse their class's clean outcome and are not counted. Not emitted
+  /// as a metric.
   u64 attempts_simulated = 0;
   u64 cow_pages_copied = 0;
   u64 backoff_cycles = 0;
