@@ -90,10 +90,11 @@ class RecordingReporter : public benchmark::ConsoleReporter {
                    benchmark::GetTimeUnitString(run.time_unit),
                    static_cast<u64>(run.iterations));
       const auto rate = run.counters.find("instr/s");
-      if (rate != run.counters.end() && run.real_accumulated_time > 0) {
+      // A kIsRate counter is already per second by the time it is reported.
+      if (rate != run.counters.end()) {
         sink_.record(run.benchmark_name() + "_instr_per_sec",
-                     rate->second.value / run.real_accumulated_time,
-                     "instr/s", static_cast<u64>(run.iterations));
+                     rate->second.value, "instr/s",
+                     static_cast<u64>(run.iterations));
       }
     }
     ConsoleReporter::ReportRuns(runs);

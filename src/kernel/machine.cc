@@ -241,11 +241,12 @@ void Machine::apply_kernel_fault(Process& process, Task& task) {
       // Mid-run key corruption: the process's PA keys are replaced, so
       // everything signed under the old keys stops authenticating. The
       // harts keep their pointer into the process's engine, which is
-      // updated in place.
+      // updated in place, so their IA tag memos must forget the old keys.
       Rng perturb(fault.payload | 1);
       process.pauth() =
           pa::PointerAuth{crypto::random_key_set(perturb), options_.layout,
                           options_.mac_backend, options_.fpac};
+      for (auto& t : process.tasks) t->cpu().flush_pa_memo();
       break;
     }
     case inject::FaultKind::kSigFrameTrash: {
@@ -653,20 +654,39 @@ Stop Machine::run(u64 max_instructions) {
     deliver_pending_signal(*process, *task);
 
     sim::Cpu& cpu = task->cpu();
-    // One scheduling quantum through Cpu::run — the tight decoded-dispatch
-    // loop when no breakpoints/trace are attached (an injector steps only
-    // its faults' due windows). last_run_steps counts every step() slot
-    // (including faulting and injected-skip steps), keeping `executed`
-    // accounting identical to stepping here.
-    const sim::RunState state = cpu.run(options_.time_slice);
-    executed += cpu.last_run_steps();
+    // A lone task runs every slice left in the budget back to back: until
+    // its next svc, nothing between its slices could change, as no other
+    // task can run, send a signal or wake. That needs no injector to poll,
+    // no signal left to deliver at the next slice boundary, and no
+    // breakpoint (one exactly on a slice boundary would cost the slice loop
+    // an extra, empty slice).
+    const u64 slice = options_.time_slice;
+    u64 slices = 1;
+    if (runnable.size() == 1 && options_.injector == nullptr &&
+        process->pending_signals.empty() && !cpu.has_breakpoints() &&
+        slice != 0) {
+      const u64 left = max_instructions - executed;
+      slices = std::min(left / slice + (left % slice != 0),
+                        ~u64{0} / slice);
+    }
+    // Cpu::run is the tight decoded-dispatch loop when no breakpoints/trace
+    // are attached (an injector steps only its faults' due windows).
+    // last_run_steps counts every step() slot (including faulting and
+    // injected-skip steps), keeping `executed` accounting identical to
+    // stepping here.
+    const sim::RunState state = cpu.run(slices * slice);
+    const u64 steps = cpu.last_run_steps();
+    executed += steps;
+    // Advance the round-robin cursor by the slices the one-slice loop would
+    // have used (one was taken when the task was picked).
+    if (steps > slice) rr_next_ += (steps - 1) / slice;
     if (state == sim::RunState::kSvc) {
       handle_svc(*process, *task);  // end of slice after a syscall
     } else if (state == sim::RunState::kBreakpoint) {
       // A zero-step run means the hart was still paused from an earlier
       // breakpoint stop (caller re-entered without resume()); report it
       // again, charging the one reporting step exactly as step() did.
-      if (cpu.last_run_steps() == 0) ++executed;
+      if (steps == 0) ++executed;
       return Stop{StopReason::kBreakpoint, process->pid(), task->tid()};
     } else if (state == sim::RunState::kHalted) {
       // hlt: treat as a clean exit of the whole process.

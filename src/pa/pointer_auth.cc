@@ -60,40 +60,6 @@ u64 PointerAuth::expected_pac(crypto::KeyId key, u64 address,
   return layout_.truncate_tag(raw_tag(key, layout_.address_bits(address), modifier));
 }
 
-u64 PointerAuth::pac(crypto::KeyId key, u64 pointer, u64 modifier) const {
-  const u64 address = layout_.address_bits(pointer);
-  u64 pac_value = expected_pac(key, address, modifier);
-  // Section 6.3.1 quirk: if the extension bits of the input pointer are
-  // corrupt (e.g. produced by a failed aut), the PAC is computed over the
-  // canonical address but a well-known PAC bit is flipped so the result
-  // does not verify. This is what defeats naive aut->pac signing gadgets.
-  if (!layout_.is_canonical(pointer)) {
-    pac_value ^= u64{1} << layout_.gadget_flip_bit();
-  }
-  return layout_.with_pac(address, pac_value);
-}
-
-AutResult PointerAuth::aut(crypto::KeyId key, u64 pointer, u64 modifier) const {
-  const u64 address = layout_.address_bits(pointer);
-  const u64 expected = expected_pac(key, address, modifier);
-  const u64 embedded = layout_.pac_field(pointer);
-  // Every bit outside the address and PAC fields must be clean for the
-  // pointer to be a well-formed signed user pointer (bit 55 always; the
-  // tag byte too when TBI reserves it).
-  const bool ext_clean = pointer == layout_.with_pac(address, embedded);
-  if (embedded == expected && ext_clean) {
-    return AutResult{address, /*ok=*/true, /*fault=*/false};
-  }
-  if (fpac_) {
-    // ARMv8.6-A FPAC: authentication failure faults immediately.
-    return AutResult{address, /*ok=*/false, /*fault=*/true};
-  }
-  // Pre-FPAC: strip the PAC, flip the well-known error bit; the pointer
-  // only faults later, when translated.
-  const u64 poisoned = address | (u64{1} << VaLayout::error_bit());
-  return AutResult{poisoned, /*ok=*/false, /*fault=*/false};
-}
-
 u64 PointerAuth::xpac(u64 pointer) const noexcept {
   return layout_.strip(pointer);
 }

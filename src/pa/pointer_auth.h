@@ -55,11 +55,56 @@ class PointerAuth {
   /// that both levels share one definition of H.
   [[nodiscard]] u64 raw_tag(crypto::KeyId key, u64 address, u64 modifier) const;
 
-  /// pacia/pacib/pacda/pacdb semantics (key-generic).
-  [[nodiscard]] u64 pac(crypto::KeyId key, u64 pointer, u64 modifier) const;
+  /// pacia/pacib/pacda/pacdb semantics (key-generic): the MAC step, then
+  /// the apply step.
+  [[nodiscard]] u64 pac(crypto::KeyId key, u64 pointer, u64 modifier) const {
+    return apply_pac(
+        pointer, expected_pac(key, layout_.address_bits(pointer), modifier));
+  }
 
-  /// autia/autib/autda/autdb semantics (key-generic).
-  [[nodiscard]] AutResult aut(crypto::KeyId key, u64 pointer, u64 modifier) const;
+  /// autia/autib/autda/autdb semantics (key-generic): the MAC step, then
+  /// the apply step.
+  [[nodiscard]] AutResult aut(crypto::KeyId key, u64 pointer,
+                              u64 modifier) const {
+    return apply_aut(
+        pointer, expected_pac(key, layout_.address_bits(pointer), modifier));
+  }
+
+  /// The key-free half of pac(): embed `expected`, the expected_pac() of
+  /// the pointer's address bits and the modifier, into `pointer`.
+  [[nodiscard]] u64 apply_pac(u64 pointer, u64 expected) const noexcept {
+    u64 pac_value = expected;
+    // Section 6.3.1 quirk: if the extension bits of the input pointer are
+    // corrupt (e.g. produced by a failed aut), the PAC is computed over the
+    // canonical address but a well-known PAC bit is flipped so the result
+    // does not verify. This is what defeats naive aut->pac signing gadgets.
+    if (!layout_.is_canonical(pointer)) {
+      pac_value ^= u64{1} << layout_.gadget_flip_bit();
+    }
+    return layout_.with_pac(layout_.address_bits(pointer), pac_value);
+  }
+
+  /// The key-free half of aut(): verify `pointer` against `expected`, the
+  /// expected_pac() of its address bits and the modifier.
+  [[nodiscard]] AutResult apply_aut(u64 pointer, u64 expected) const noexcept {
+    const u64 address = layout_.address_bits(pointer);
+    const u64 embedded = layout_.pac_field(pointer);
+    // Every bit outside the address and PAC fields must be clean for the
+    // pointer to be a well-formed signed user pointer (bit 55 always; the
+    // tag byte too when TBI reserves it).
+    const bool ext_clean = pointer == layout_.with_pac(address, embedded);
+    if (embedded == expected && ext_clean) {
+      return AutResult{address, /*ok=*/true, /*fault=*/false};
+    }
+    if (fpac_) {
+      // ARMv8.6-A FPAC: authentication failure faults immediately.
+      return AutResult{address, /*ok=*/false, /*fault=*/true};
+    }
+    // Pre-FPAC: strip the PAC, flip the well-known error bit; the pointer
+    // only faults later, when translated.
+    const u64 poisoned = address | (u64{1} << VaLayout::error_bit());
+    return AutResult{poisoned, /*ok=*/false, /*fault=*/false};
+  }
 
   /// xpaci/xpacd semantics.
   [[nodiscard]] u64 xpac(u64 pointer) const noexcept;

@@ -64,14 +64,41 @@ namespace {
 
 }  // namespace
 
+// Defined ahead of CpuOps so that every handler inlines them.
+inline void Cpu::finish(const DecodedInstr& di, u64 instr_pc,
+                        u64 cost) noexcept {
+  cycles_ += cost;
+  // Retire hook: fires exactly when step() counts the instruction as
+  // retired (faulting paths either returned early or left a pending fault).
+  if (obs_ != nullptr &&
+      (state_ == RunState::kReady || state_ == RunState::kSvc ||
+       state_ == RunState::kHalted)) {
+    obs_->retire(di.klass, instr_pc, pc_, cost, cycles_, di.ctl);
+  }
+}
+
+inline u64 Cpu::ia_tag(u64 pointer, u64 modifier) {
+  const u64 address = pauth_->layout().address_bits(pointer);
+  const u64 mix = (address ^ (modifier * 0x9E37'79B9'7F4A'7C15ULL)) *
+                  0xD6E8'FEB8'6659'FD93ULL;
+  PaTagEntry& entry = pa_memo_[mix >> (64U - kPaMemoBits)];
+  if (entry.tag == kNoTag || entry.address != address ||
+      entry.modifier != modifier) {
+    entry = {address, modifier,
+             pauth_->expected_pac(crypto::KeyId::kIA, address, modifier)};
+  }
+  return entry.tag;
+}
+
 // ---------------------------------------------------------------------------
-// Op handlers — the single source of instruction semantics. The decoded
-// fast path jumps straight to these through DecodedInstr::handler; the
-// interpreter path resolves the same pointers per step via
-// DecodedProgram::decode(). Every handler owns its full step: operand
-// reads, state update, pc advance, and the finish() epilogue (cycle charge
-// + retire hook). Faulting memory/PA ops return *without* finish(), so a
-// faulted access charges no cycles — exactly the old switch semantics.
+// Op handlers — the single source of instruction semantics. run_fast's
+// threaded loop calls them directly by name; step() and the fallback loops
+// go through DecodedInstr::handler, and the interpreter path resolves the
+// same pointers per step via DecodedProgram::decode(). Every handler owns
+// its full step: operand reads, state update, pc advance, and the finish()
+// epilogue (cycle charge + retire hook). Faulting memory/PA ops return
+// *without* finish(), so a faulted access charges no cycles — exactly the
+// old switch semantics.
 // ---------------------------------------------------------------------------
 struct CpuOps {
   static void nop(Cpu& c, const DecodedInstr& d) {
@@ -305,8 +332,9 @@ struct CpuOps {
   static void retaa(Cpu& c, const DecodedInstr& d) {
     const u64 pc = c.pc_;
     const u64 cost = c.costs_.pa + c.costs_.branch;
+    const u64 lr = c.reg(kLr);
     const auto result =
-        c.pauth_->aut(crypto::KeyId::kIA, c.reg(kLr), c.reg(Reg::kSp));
+        c.pauth_->apply_aut(lr, c.ia_tag(lr, c.reg(Reg::kSp)));
     if (c.obs_ != nullptr) {
       c.obs_->pac_auth(pc, c.reg(Reg::kSp), !result.fault,
                        /*chain=*/false, c.cycles_ + cost);
@@ -325,8 +353,9 @@ struct CpuOps {
     const u64 pc = c.pc_;
     const u64 cost = c.costs_.pa;
     const u64 modifier = c.reg(d.instr.rn);
+    const u64 pointer = c.reg(d.instr.rd);
     c.set_reg(d.instr.rd,
-              c.pauth_->pac(crypto::KeyId::kIA, c.reg(d.instr.rd), modifier));
+              c.pauth_->apply_pac(pointer, c.ia_tag(pointer, modifier)));
     if (c.obs_ != nullptr) {
       // A sign whose modifier is the chain register is a PACStack chain
       // update; signing into the scratch register is the aret mask
@@ -342,8 +371,9 @@ struct CpuOps {
     const u64 pc = c.pc_;
     const u64 cost = c.costs_.pa;
     const u64 modifier = c.reg(d.instr.rn);
+    const u64 pointer = c.reg(d.instr.rd);
     const auto result =
-        c.pauth_->aut(crypto::KeyId::kIA, c.reg(d.instr.rd), modifier);
+        c.pauth_->apply_aut(pointer, c.ia_tag(pointer, modifier));
     if (c.obs_ != nullptr) {
       c.obs_->pac_auth(pc, modifier, !result.fault,
                        /*chain=*/d.instr.rn == kCr, c.cycles_ + cost);
@@ -466,6 +496,11 @@ Cpu::Cpu(const Program& program, AddressSpace& memory,
       pauth_(&pauth),
       decoded_(std::move(decoded)) {
   pc_ = program.base;
+  flush_pa_memo();
+}
+
+void Cpu::flush_pa_memo() noexcept {
+  pa_memo_.fill(PaTagEntry{0, 0, kNoTag});
 }
 
 u64 Cpu::reg(Reg r) const noexcept {
@@ -710,7 +745,7 @@ u64 Cpu::run_fast(u64 max_steps) {
     // instead of sharing one branch-target entry for the whole loop.
     //
     // The architectural counters (pc, cycles, retired instructions) live in
-    // locals for the duration of the loop: the indirect handler calls would
+    // locals for the duration of the loop: the out-of-line handler calls would
     // otherwise force them through memory on every step. Trivial ALU and
     // branch ops execute inline on the locals — their bodies mirror the
     // CpuOps handlers exactly (they cannot fault and always retire, so the
@@ -723,7 +758,8 @@ u64 Cpu::run_fast(u64 max_steps) {
     const u64 alu_cost = costs_.alu;
     const u64 branch_cost = costs_.branch;
     // set_observer is never called mid-run, so the hook pointer is loop-
-    // invariant; a local spares the reload across the opaque handler calls.
+    // invariant; a local spares the reload across the out-of-line handler
+    // calls.
     obs::TaskChannel* const obs = obs_;
     // The dispatch macro does not test state_: inline ops cannot leave
     // kReady, and the out-of-line case re-checks it right after its handler
@@ -831,11 +867,12 @@ u64 Cpu::run_fast(u64 max_steps) {
     ACS_INLINE_CASE(kWork, static_cast<u64>(di->instr.imm),
                     pc = ipc + kInstrBytes)
 #undef ACS_INLINE_CASE
-    // Out-of-line case: call the slot's handler with the members synced —
-    // identical to what the plain loop does per step.
+    // Out-of-line case: call the opcode's CpuOps handler directly (not
+    // through DecodedInstr::handler, so the compiler may inline it) with the
+    // members synced — identical to what the plain loop does per step.
 #define ACS_OP_CASE(name, fn)                                                 \
   lab_##name : ACS_SYNC_OUT();                                                \
-  di->handler(*this, *di);                                                    \
+  CpuOps::fn(*this, *di);                                                     \
   if (state_ == RunState::kReady || state_ == RunState::kSvc ||               \
       state_ == RunState::kHalted) {                                          \
     ++instructions_;                                                          \
@@ -919,17 +956,6 @@ bool Cpu::exec_cached(u64 pc) noexcept {
   exec_len_ = info->size;
   exec_version_ = memory_->layout_version();
   return true;
-}
-
-void Cpu::finish(const DecodedInstr& di, u64 instr_pc, u64 cost) noexcept {
-  cycles_ += cost;
-  // Retire hook: fires exactly when step() counts the instruction as
-  // retired (faulting paths either returned early or left a pending fault).
-  if (obs_ != nullptr &&
-      (state_ == RunState::kReady || state_ == RunState::kSvc ||
-       state_ == RunState::kHalted)) {
-    obs_->retire(di.klass, instr_pc, pc_, cost, cycles_, di.ctl);
-  }
 }
 
 bool Cpu::eval_cond(Cond cond) const noexcept {

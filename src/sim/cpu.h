@@ -128,6 +128,9 @@ class Cpu {
   void add_breakpoint(u64 addr) { breakpoints_.insert(addr); }
   void remove_breakpoint(u64 addr) { breakpoints_.erase(addr); }
   void clear_breakpoints() { breakpoints_.clear(); }
+  [[nodiscard]] bool has_breakpoints() const noexcept {
+    return !breakpoints_.empty();
+  }
 
   // --- execution trace -------------------------------------------------------
   /// Keep a ring buffer of the last `depth` executed PCs (0 disables).
@@ -140,8 +143,10 @@ class Cpu {
   [[nodiscard]] AddressSpace& memory() noexcept { return *memory_; }
   [[nodiscard]] const pa::PointerAuth& pauth() const noexcept { return *pauth_; }
 
-  /// Swap the PA engine (kernel does this on exec / context switch).
-  void set_pauth(const pa::PointerAuth& pauth) noexcept { pauth_ = &pauth; }
+  /// Forget every memoized IA tag. The hart's PA engine is fixed for its
+  /// lifetime, so the memo goes stale only when that engine's keys are
+  /// replaced in place; whoever replaces them must call this.
+  void flush_pa_memo() noexcept;
 
   /// Capture / restore the architectural register context (kernel use).
   [[nodiscard]] CpuSnapshot snapshot() const noexcept;
@@ -180,6 +185,9 @@ class Cpu {
   [[nodiscard]] bool exec_cached(u64 pc) noexcept;
   /// Common instruction epilogue: charge cycles, fire the retire hook.
   void finish(const DecodedInstr& di, u64 instr_pc, u64 cost) noexcept;
+  /// expected_pac(kIA, address bits of `pointer`, modifier) through the
+  /// hart's tag memo (pacia, autia and retaa).
+  [[nodiscard]] u64 ia_tag(u64 pointer, u64 modifier);
   [[nodiscard]] bool eval_cond(Cond cond) const noexcept;
   [[nodiscard]] u64 mem_address(const Instruction& instr, u64& base_out,
                                 bool& writeback) noexcept;
@@ -214,6 +222,20 @@ class Cpu {
   bool skip_breakpoint_once_ = false;
   u64 skip_breakpoint_pc_ = 0;
   std::unordered_set<u64> breakpoints_;
+  // Direct-mapped memo of IA tags keyed by the full (address bits,
+  // modifier) pair: a PACStack prologue's pac and its epilogue's aut sign
+  // the same pair, and loops re-run them. Exact because the MAC is a pure
+  // function of the key and the pair (the random oracle's table already
+  // holds every pair the memo holds); kNoTag marks an empty entry, as no
+  // truncated tag fills all 64 bits.
+  static constexpr u64 kNoTag = ~u64{0};
+  static constexpr unsigned kPaMemoBits = 6;
+  struct PaTagEntry {
+    u64 address;
+    u64 modifier;
+    u64 tag;
+  };
+  std::array<PaTagEntry, std::size_t{1} << kPaMemoBits> pa_memo_;
   std::vector<u64> trace_ring_;
   std::size_t trace_next_ = 0;
   bool trace_wrapped_ = false;

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <functional>
 
+#include "inject/engine.h"
 #include "kernel/syscalls.h"
 #include "sim/assembler.h"
 
@@ -123,6 +124,42 @@ TEST(Machine, ForkInheritsKeysExecGetsFresh) {
   };
   EXPECT_EQ(tag(1), tag(2));     // fork: inherited keys (Section 4.3 premise)
   EXPECT_NE(tag(1), tag(spawned));  // exec: regenerated keys
+}
+
+TEST(Machine, KeyPerturbInvalidatesArets) {
+  // An aret signed and authenticated before a delivered kKeyPerturb sits in
+  // the hart's IA tag memo; after the perturb the same authentication must
+  // run under the new keys and fail.
+  constexpr u64 kRet = 0x1'2340;
+  constexpr u64 kChain = 0x77;
+  const auto program = build([](Assembler& as) {
+    as.function("main");
+    as.mov_imm(sim::kLr, kRet);
+    as.mov_imm(sim::kCr, kChain);
+    as.pacia(sim::kLr, sim::kCr);  // aret under the original keys
+    as.mov(Reg::kX0, sim::kLr);
+    as.autia(Reg::kX0, sim::kCr);
+    as.svc(num(Syscall::kWriteInt));  // kRet: verifies before the perturb
+    as.svc(num(Syscall::kYield));     // the perturb lands at this boundary
+    as.mov(Reg::kX0, sim::kLr);
+    as.autia(Reg::kX0, sim::kCr);
+    as.svc(num(Syscall::kWriteInt));  // poisoned: stale under the new keys
+    as.mov_imm(Reg::kX0, 0);
+    as.svc(num(Syscall::kExit));
+  });
+  inject::Engine engine({.plan = {{.at_instr = 7,
+                                   .kind = inject::FaultKind::kKeyPerturb,
+                                   .payload = 0xdead}}});
+  MachineOptions options;
+  options.injector = &engine;
+  Machine machine(program, options);
+  EXPECT_EQ(machine.run_to_completion(), ProcessState::kExited);
+  EXPECT_EQ(engine.summary().injected[static_cast<std::size_t>(
+                inject::FaultKind::kKeyPerturb)],
+            1U);
+  EXPECT_EQ(machine.init_process().output,
+            (std::vector<u64>{
+                kRet, kRet | (u64{1} << pa::VaLayout::error_bit())}));
 }
 
 TEST(Machine, ThreadsRunAndReseedChainRegister) {

@@ -19,8 +19,9 @@ constexpr u64 kStackTop = 0x20'1000;
 class CpuHarness {
  public:
   explicit CpuHarness(const std::function<void(Assembler&)>& body,
-                      unsigned va_size = 39, bool fpac = false)
-      : pauth_(make_keys(), pa::VaLayout{va_size}, "siphash", fpac) {
+                      unsigned va_size = 39, bool fpac = false,
+                      const char* backend = "siphash")
+      : pauth_(make_keys(), pa::VaLayout{va_size}, backend, fpac) {
     Assembler as(kCodeBase);
     body(as);
     program_ = as.assemble();
@@ -310,6 +311,165 @@ TEST(Cpu, FpacAutiaFaultsImmediately) {
   EXPECT_EQ(h.cpu().run(), RunState::kFaulted);
   EXPECT_EQ(h.cpu().fault().kind, FaultKind::kPacAuthFailure);
 }
+
+/// One IA tag memo case: the MAC backend, and whether aut faults (FPAC).
+struct PaMemoCase {
+  const char* backend;
+  bool fpac;
+};
+
+std::ostream& operator<<(std::ostream& os, const PaMemoCase& c) {
+  return os << c.backend << (c.fpac ? "/fpac" : "");
+}
+
+class CpuPaMemoTest : public ::testing::TestWithParam<PaMemoCase> {};
+
+TEST_P(CpuPaMemoTest, RepeatedPairsMatchDirectPointerAuth) {
+  // kReps passes over kPairs (pointer, modifier) pairs: more pairs than the
+  // hart's tag memo has entries, so later passes mix hits with evictions.
+  // Each pair is signed (pacia), then two neighbours that share one half
+  // of its key (the same address with the next modifier; an address offset
+  // by modifier bits with the same modifier) are signed too: a memo keyed
+  // on half the pair would hand one of them the pair's tag. The pair is then
+  // authenticated (autia) and, without FPAC, authenticated under a wrong
+  // modifier; a pac-ret call signs LR against SP (pacia) and returns
+  // through retaa. Without FPAC every odd pair's pointer has a PAC-field bit
+  // set, the Section 6.3.1 gadget input whose signature must not verify.
+  constexpr u64 kPairs = 300;
+  constexpr u64 kReps = 3;
+  constexpr u64 kWordsPerPair = 6;
+  constexpr u64 kOffsetMask = 0x0fff'fff0;
+  constexpr u64 kOutBase = 0x40'0000;
+  constexpr u64 kOutBytes = kReps * kPairs * kWordsPerPair * 8;
+  constexpr u64 kPointer0 = 0x1'2340;
+  constexpr u64 kModifier0 = 0x5eed'0000'0001;
+  constexpr u64 kModifierStep = 0x123'4567;
+  constexpr u64 kGadgetBit = u64{1} << 40;
+  const PaMemoCase param = GetParam();
+  const bool gadget = !param.fpac;
+  CpuHarness h(
+      [&](Assembler& as) {
+        as.mov_imm(Reg::kX5, kOutBase);
+        as.mov_imm(Reg::kX10, gadget ? kGadgetBit : 0);
+        as.mov_imm(Reg::kX12, kOffsetMask);
+        as.mov_imm(Reg::kX6, kReps);
+        as.label("rep");
+        as.mov_imm(Reg::kX8, kPointer0);
+        as.mov_imm(Reg::kX9, kModifier0);
+        as.mov_imm(Reg::kX7, kPairs);
+        as.label("pair");
+        as.mov(Reg::kX0, Reg::kX8);
+        as.pacia(Reg::kX0, Reg::kX9);
+        as.str(Reg::kX0, Reg::kX5, 8, AddrMode::kPostIndex);
+        as.add_imm(Reg::kX11, Reg::kX9, 1);
+        as.mov(Reg::kX2, Reg::kX8);
+        as.pacia(Reg::kX2, Reg::kX11);
+        as.str(Reg::kX2, Reg::kX5, 8, AddrMode::kPostIndex);
+        as.and_(Reg::kX2, Reg::kX9, Reg::kX12);
+        as.add(Reg::kX2, Reg::kX2, Reg::kX8);
+        as.pacia(Reg::kX2, Reg::kX9);
+        as.str(Reg::kX2, Reg::kX5, 8, AddrMode::kPostIndex);
+        as.mov(Reg::kX1, Reg::kX0);
+        as.autia(Reg::kX0, Reg::kX9);
+        as.str(Reg::kX0, Reg::kX5, 8, AddrMode::kPostIndex);
+        if (!param.fpac) as.autia(Reg::kX1, Reg::kX8);  // wrong modifier
+        as.str(Reg::kX1, Reg::kX5, 8, AddrMode::kPostIndex);
+        as.bl("signer");
+        as.label("after_call");
+        as.eor(Reg::kX8, Reg::kX8, Reg::kX10);
+        as.add_imm(Reg::kX8, Reg::kX8, 4);
+        as.add_imm(Reg::kX9, Reg::kX9, kModifierStep);
+        as.sub_imm(Reg::kX7, Reg::kX7, 1);
+        as.cbnz(Reg::kX7, "pair");
+        as.sub_imm(Reg::kX6, Reg::kX6, 1);
+        as.cbnz(Reg::kX6, "rep");
+        as.hlt();
+        as.function("signer");
+        as.pacia(kLr, Reg::kSp);
+        as.str(kLr, Reg::kX5, 8, AddrMode::kPostIndex);
+        as.retaa();
+      },
+      39, param.fpac, param.backend);
+  h.mem().map(kOutBase, kOutBytes, kPermRw, "out");
+  // A copy taken before the run replays the same PA ops in program order
+  // with no memo; for the random oracle that also pins the sampler order.
+  const pa::PointerAuth direct = h.pauth();
+  ASSERT_EQ(h.cpu().run(), RunState::kHalted);
+
+  const u64 ret = h.program().symbols.at("after_call");
+  u64 word = kOutBase;
+  const auto next_word = [&] {
+    const u64 value = h.mem().raw_read_u64(word);
+    word += 8;
+    return value;
+  };
+  for (u64 rep = 0; rep < kReps; ++rep) {
+    u64 pointer = kPointer0;
+    u64 modifier = kModifier0;
+    for (u64 pair = 0; pair < kPairs; ++pair) {
+      SCOPED_TRACE(::testing::Message() << "rep " << rep << " pair " << pair);
+      const u64 signed_ptr = direct.pac(crypto::KeyId::kIA, pointer, modifier);
+      EXPECT_EQ(next_word(), signed_ptr);
+      EXPECT_EQ(next_word(),
+                direct.pac(crypto::KeyId::kIA, pointer, modifier + 1));
+      EXPECT_EQ(next_word(),
+                direct.pac(crypto::KeyId::kIA,
+                           pointer + (modifier & kOffsetMask), modifier));
+      const auto authed = direct.aut(crypto::KeyId::kIA, signed_ptr, modifier);
+      EXPECT_EQ(authed.ok, (pointer & kGadgetBit) == 0);
+      EXPECT_EQ(next_word(), authed.pointer);
+      if (param.fpac) {
+        EXPECT_EQ(next_word(), signed_ptr);
+      } else {
+        const auto wrong =
+            direct.aut(crypto::KeyId::kIA, signed_ptr, pointer);
+        EXPECT_FALSE(wrong.ok);
+        EXPECT_EQ(next_word(), wrong.pointer);
+      }
+      const u64 signed_lr = direct.pac(crypto::KeyId::kIA, ret, kStackTop);
+      EXPECT_EQ(next_word(), signed_lr);
+      EXPECT_TRUE(direct.aut(crypto::KeyId::kIA, signed_lr, kStackTop).ok);
+      pointer = (pointer ^ (gadget ? kGadgetBit : 0)) + 4;
+      modifier += kModifierStep;
+    }
+  }
+}
+
+TEST_P(CpuPaMemoTest, MemoizedPairStillFaultsUnderAWrongModifier) {
+  // The pair is signed and authenticated first, so the wrong-modifier
+  // autia runs with the right pair's tag already memoized.
+  CpuHarness h(
+      [](Assembler& as) {
+        as.mov_imm(Reg::kX0, 0x5000);
+        as.mov_imm(Reg::kX1, 1);
+        as.pacia(Reg::kX0, Reg::kX1);
+        as.mov(Reg::kX2, Reg::kX0);
+        as.autia(Reg::kX2, Reg::kX1);
+        as.mov_imm(Reg::kX1, 2);       // wrong modifier
+        as.autia(Reg::kX0, Reg::kX1);
+        as.hlt();
+      },
+      39, GetParam().fpac, GetParam().backend);
+  if (GetParam().fpac) {
+    EXPECT_EQ(h.cpu().run(), RunState::kFaulted);
+    EXPECT_EQ(h.cpu().fault().kind, FaultKind::kPacAuthFailure);
+  } else {
+    EXPECT_EQ(h.cpu().run(), RunState::kHalted);
+    EXPECT_EQ(h.cpu().reg(Reg::kX0),
+              0x5000U | (u64{1} << pa::VaLayout::error_bit()));
+  }
+  EXPECT_EQ(h.cpu().reg(Reg::kX2), 0x5000U);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Backends, CpuPaMemoTest,
+    ::testing::Values(PaMemoCase{"siphash", false}, PaMemoCase{"qarma", false},
+                      PaMemoCase{"ro", false}, PaMemoCase{"siphash", true},
+                      PaMemoCase{"ro", true}),
+    [](const ::testing::TestParamInfo<PaMemoCase>& param) {
+      return std::string{param.param.backend} +
+             (param.param.fpac ? "_fpac" : "");
+    });
 
 TEST(Cpu, LoopWithCbnz) {
   CpuHarness h([](Assembler& as) {
