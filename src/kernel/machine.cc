@@ -608,9 +608,6 @@ void Machine::handle_svc(Process& process, Task& task) {
 
 Stop Machine::run(u64 max_instructions) {
   u64 executed = 0;
-  // Context-switch detection: (pid, tid) of the previously scheduled task.
-  u64 last_pid = 0, last_tid = 0;
-  bool have_last = false;
   // Reused across slices: rebuilding the runnable list is per-quantum work
   // and must not allocate each time.
   std::vector<std::pair<Process*, Task*>> runnable;
@@ -632,14 +629,11 @@ Stop Machine::run(u64 max_instructions) {
       return Stop{StopReason::kMaxInstructions, process->pid(), task->tid()};
     }
 
-    if (task->obs != nullptr &&
-        (!have_last || last_pid != process->pid() ||
-         last_tid != task->tid())) {
+    const std::pair<u64, u64> scheduled{process->pid(), task->tid()};
+    if (task->obs != nullptr && last_scheduled_ != scheduled) {
       task->obs->context_switch(task->cpu().cycles());
     }
-    last_pid = process->pid();
-    last_tid = task->tid();
-    have_last = true;
+    last_scheduled_ = scheduled;
 
     // Kernel-level fault injection, polled once per scheduling slice
     // against the process's instruction clock.

@@ -12,6 +12,8 @@
 
 #include <functional>
 #include <memory>
+#include <optional>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
@@ -171,6 +173,9 @@ class Machine {
   std::vector<std::unique_ptr<Process>> processes_;
   // Round-robin cursor over the flattened runnable-task list.
   std::size_t rr_next_ = 0;
+  // (pid, tid) of the task scheduled last, kept across run() calls: a task
+  // that simply continues in the next run() is no context switch.
+  std::optional<std::pair<u64, u64>> last_scheduled_;
   std::vector<u64> global_breakpoints_;
 };
 

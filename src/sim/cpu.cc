@@ -740,9 +740,11 @@ u64 Cpu::run_fast(u64 max_steps) {
       pauth_->layout().is_canonical(base + limit - 1) && exec_cached(base) &&
       limit <= exec_len_ - (base - exec_lo_)) {
 #if defined(__GNUC__) || defined(__clang__)
-    // Token-threaded dispatch (computed goto): every opcode gets its own
-    // fetch+dispatch site, so the indirect jump predicts per-predecessor
-    // instead of sharing one branch-target entry for the whole loop.
+    // Computed-goto dispatch through a label table. Each case ends in its
+    // own copy of ACS_DISPATCH in the source, but GCC at -O2 merges those
+    // tails: the compiled loop has two indirect jumps (the first dispatch
+    // and the shared one), so the gain over a switch is the dropped range
+    // check and the locals below, not per-opcode branch prediction.
     //
     // The architectural counters (pc, cycles, retired instructions) live in
     // locals for the duration of the loop: the out-of-line handler calls would
@@ -864,6 +866,14 @@ u64 Cpu::run_fast(u64 max_steps) {
     ACS_INLINE_CASE(kCbnz, branch_cost,
                     pc = reg(di->instr.rn) != 0 ? di->instr.target
                                                 : ipc + kInstrBytes)
+    // bl and ret mirror CpuOps::bl/ret: neither faults at execute time (a
+    // bad return target faults at the next fetch), and state_ is kReady
+    // here, so bl's retiring-call guard always holds.
+    ACS_INLINE_CASE(kBl, branch_cost, set_reg(kLr, ipc + kInstrBytes);
+                    pc = di->instr.target; ++call_depth_)
+    ACS_INLINE_CASE(kRet, branch_cost,
+                    pc = reg(di->instr.rn == Reg::kXzr ? kLr : di->instr.rn);
+                    if (call_depth_ > 0) --call_depth_)
     ACS_INLINE_CASE(kWork, static_cast<u64>(di->instr.imm),
                     pc = ipc + kInstrBytes)
 #undef ACS_INLINE_CASE
@@ -888,10 +898,8 @@ u64 Cpu::run_fast(u64 max_steps) {
     ACS_OP_CASE(kStrb, str)
     ACS_OP_CASE(kLdp, ldp)
     ACS_OP_CASE(kStp, stp)
-    ACS_OP_CASE(kBl, bl)
     ACS_OP_CASE(kBlr, blr)
     ACS_OP_CASE(kBr, br)
-    ACS_OP_CASE(kRet, ret)
     ACS_OP_CASE(kRetaa, retaa)
     ACS_OP_CASE(kPacia, pacia)
     ACS_OP_CASE(kAutia, autia)

@@ -13,7 +13,19 @@ AddressSpace& AddressSpace::operator=(const AddressSpace& other) {
     regions_ = other.regions_;
     last_hit_ = other.last_hit_;
     version_ = other.version_;
-    cache_ = SpanCache{};  // pointers into the old region table are gone
+    clear_spans();  // the cached slots belonged to the old region table
+  }
+  return *this;
+}
+
+AddressSpace& AddressSpace::operator=(AddressSpace&& other) noexcept {
+  if (this != &other) {
+    regions_ = std::move(other.regions_);
+    last_hit_ = other.last_hit_;
+    spans_ = other.spans_;  // the slots moved over with the region table
+    span_next_ = other.span_next_;
+    version_ = other.version_;
+    other.clear_spans();
   }
   return *this;
 }
@@ -39,7 +51,7 @@ void AddressSpace::map(u64 base, u64 size, Perms perms, std::string name) {
       [](u64 b, const Region& r) { return b < r.info.base; });
   regions_.insert(pos, std::move(region));
   last_hit_ = 0;
-  cache_ = SpanCache{};  // the region table may have reallocated
+  clear_spans();  // the region table may have reallocated
   ++version_;
 }
 
@@ -47,17 +59,17 @@ void AddressSpace::fill_span_cache(const Region& region,
                                    u64 addr) const noexcept {
   const u64 off = addr - region.info.base;
   const u64 page = off / kPageSize;
-  const PagePtr& bytes = region.pages[page];
-  if (bytes == nullptr) return;  // zero pages have no bytes to point at
+  const PagePtr& slot = region.pages[page];
+  if (slot == nullptr) return;  // zero pages have no bytes to point at
   const u64 len = std::min(kPageSize, region.info.size - page * kPageSize);
   if (len < 8) return;  // clipped tail spans are not worth caching
-  cache_.base = region.info.base + page * kPageSize;
-  cache_.len = len;
-  cache_.page = page;
-  cache_.region = &region;
-  cache_.bytes = bytes.get();
-  cache_.readable = region.info.perms.r;
-  cache_.writable = region.info.perms.w;
+  spans_[span_next_] = SpanEntry{region.info.base + page * kPageSize,
+                                 len - 7,
+                                 slot->data(),
+                                 &slot,
+                                 region.info.perms.r,
+                                 region.info.perms.w};
+  span_next_ = (span_next_ + 1) % kSpanEntries;
 }
 
 const AddressSpace::Region* AddressSpace::find(u64 addr,
@@ -104,21 +116,21 @@ u64 AddressSpace::region_read(const Region& region, u64 off,
 
 std::vector<u8>& AddressSpace::own_page(PagePtr& page) {
   if (page == nullptr) {
+    // No span entry holds a null slot, so materializing needs no clear.
     page = std::make_shared<std::vector<u8>>(kPageSize, u8{0});
   } else if (page.use_count() > 1) {
     page = std::make_shared<std::vector<u8>>(*page);  // CoW: clone this page
+    clear_spans();  // an entry may hold the shared page's bytes
   }
   return *page;
-}
-
-u8* AddressSpace::own_byte(Region& region, u64 off) noexcept {
-  return &own_page(region.pages[off / kPageSize])[off % kPageSize];
 }
 
 void AddressSpace::region_write(Region& region, u64 off, u64 value,
                                 unsigned len) noexcept {
   for (unsigned i = 0; i < len; ++i) {
-    *own_byte(region, off + i) = static_cast<u8>(value >> (8 * i));
+    const u64 at = off + i;
+    own_page(region.pages[at / kPageSize])[at % kPageSize] =
+        static_cast<u8>(value >> (8 * i));
   }
 }
 

@@ -18,11 +18,13 @@
 // written while forks taken from it are live.
 #pragma once
 
+#include <array>
 #include <bit>
 #include <cstring>
 #include <memory>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/types.h"
@@ -64,21 +66,22 @@ class AddressSpace {
   // the header so the CPU's load/store handlers inline them; everything
   // else goes through the out-of-line _slow variants.
   [[nodiscard]] Access read_u64(u64 addr) const noexcept {
-    if (cache_.readable && addr - cache_.base <= cache_.len - 8 &&
-        cache_.region->pages[cache_.page].get() == cache_.bytes) {
-      return {load_le64(cache_.bytes->data() + (addr - cache_.base)), Fault{}};
+    for (const SpanEntry& e : spans_) {
+      if (addr - e.base < e.limit && e.readable) {
+        return {load_le64(e.data + (addr - e.base)), Fault{}};
+      }
     }
     return read_u64_slow(addr);
   }
   [[nodiscard]] Access read_u8(u64 addr) const noexcept;
   [[nodiscard]] Fault write_u64(u64 addr, u64 value) noexcept {
-    // Identity plus exclusive ownership re-checked per write, so a page
-    // shared with a fork taken since the fill is never written in place
-    // (it falls through and CoW-clones in the slow path).
-    if (cache_.writable && addr - cache_.base <= cache_.len - 8) {
-      const PagePtr& page = cache_.region->pages[cache_.page];
-      if (page.get() == cache_.bytes && page.use_count() == 1) {
-        store_le64(page->data() + (addr - cache_.base), value);
+    // Exclusive ownership is re-checked per write, so a page shared with a
+    // fork taken since the fill is never written in place (it falls
+    // through and CoW-clones in the slow path).
+    for (const SpanEntry& e : spans_) {
+      if (addr - e.base < e.limit) {
+        if (!e.writable || e.slot->use_count() != 1) break;
+        store_le64(e.data + (addr - e.base), value);
         return Fault{};
       }
     }
@@ -120,16 +123,25 @@ class AddressSpace {
   [[nodiscard]] u64 private_pages() const noexcept;
 
   AddressSpace() = default;
-  // Copying shares pages CoW. The hot-span cache holds pointers into this
-  // object's own region table, so the copy starts with an empty cache; the
-  // source is not written (forks may be taken concurrently from one master).
+  // Copying shares pages CoW. The span cache points into this object's own
+  // page slots, so the copy starts with an empty cache; the source is not
+  // written (forks may be taken concurrently from one master). A move hands
+  // the region table, and with it the cached slots, to the target and
+  // empties the source's cache along with its table.
   AddressSpace(const AddressSpace& other)
       : regions_(other.regions_),
         last_hit_(other.last_hit_),
         version_(other.version_) {}
   AddressSpace& operator=(const AddressSpace& other);
-  AddressSpace(AddressSpace&&) noexcept = default;
-  AddressSpace& operator=(AddressSpace&&) noexcept = default;
+  AddressSpace(AddressSpace&& other) noexcept
+      : regions_(std::move(other.regions_)),
+        last_hit_(other.last_hit_),
+        spans_(other.spans_),
+        span_next_(other.span_next_),
+        version_(other.version_) {
+    other.clear_spans();
+  }
+  AddressSpace& operator=(AddressSpace&& other) noexcept;
 
  private:
   // Null page = 4 KiB of zeros. Pages index region-relative byte ranges
@@ -141,21 +153,24 @@ class AddressSpace {
     std::vector<PagePtr> pages;
   };
 
-  // Hot-span cache: the last page span touched by a checked access. A hit
-  // revalidates the page's identity (`pages[page].get() == bytes`), so a
-  // CoW clone or materialization elsewhere simply misses and refills; a
-  // write hit additionally re-checks exclusive ownership (use_count == 1),
-  // so pages shared with a fork taken since the fill are never written in
-  // place. Invalidated on map() (the region table may reallocate).
-  struct SpanCache {
+  // Span cache: the last few materialized pages touched by a checked
+  // access, looked up linearly and refilled round-robin. An entry holds the
+  // page's host bytes directly, so a read hit is a range test and one load.
+  // Nothing is revalidated per hit: every path that replaces a slot's page
+  // pointer (own_page) or the region table (map, assignment) clears the
+  // cache instead. A write hit still re-checks exclusive ownership
+  // (use_count == 1) through the slot, so a page shared with a fork taken
+  // since the fill is never written in place.
+  struct SpanEntry {
     u64 base = 0;   ///< VA of the first byte of the cached span
-    u64 len = 0;    ///< span length (page size clipped to the region end)
-    u64 page = 0;   ///< page index within `region`
-    const Region* region = nullptr;
-    const std::vector<u8>* bytes = nullptr;  ///< page identity at fill time
+    u64 limit = 0;  ///< span length - 7 (an 8-byte access fits below it);
+                    ///< 0 marks an empty entry, which no address matches
+    u8* data = nullptr;             ///< the page's host bytes
+    const PagePtr* slot = nullptr;  ///< the region's slot holding the page
     bool readable = false;
     bool writable = false;
   };
+  static constexpr std::size_t kSpanEntries = 4;
 
   [[nodiscard]] const Region* find(u64 addr, u64 len) const noexcept;
   [[nodiscard]] Region* find(u64 addr, u64 len) noexcept;
@@ -164,16 +179,17 @@ class AddressSpace {
   // read_u64/write_u64 only fall back here for page-spanning accesses;
   // the in-page common case is a single page lookup + 8-byte load/store.
   static u64 region_read(const Region& region, u64 off, unsigned len) noexcept;
-  static void region_write(Region& region, u64 off, u64 value,
-                           unsigned len) noexcept;
-  static u8* own_byte(Region& region, u64 off) noexcept;
+  void region_write(Region& region, u64 off, u64 value, unsigned len) noexcept;
   /// Materialize (null → zero page) or un-share (CoW clone) so the page is
-  /// exclusively owned and writable in place.
-  static std::vector<u8>& own_page(PagePtr& page);
+  /// exclusively owned and writable in place. A CoW clone clears the span
+  /// cache, which may hold the shared page's bytes.
+  std::vector<u8>& own_page(PagePtr& page);
 
-  /// Refill the span cache from a region the access was just validated
-  /// against (materialized pages only).
+  /// Put the page under `addr` into the next round-robin span-cache entry,
+  /// from a region the access was just validated against (materialized
+  /// pages only).
   void fill_span_cache(const Region& region, u64 addr) const noexcept;
+  void clear_spans() const noexcept { spans_ = {}; }
 
   // Out-of-line halves of the checked accessors (find + permission checks
   // + CoW materialization + cache refill).
@@ -208,7 +224,8 @@ class AddressSpace {
 
   std::vector<Region> regions_;  // sorted by base, non-overlapping
   mutable std::size_t last_hit_ = 0;  // index cache for find()
-  mutable SpanCache cache_;
+  mutable std::array<SpanEntry, kSpanEntries> spans_{};
+  mutable std::size_t span_next_ = 0;  // round-robin fill cursor
   u64 version_ = 0;
 };
 

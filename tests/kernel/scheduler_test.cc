@@ -125,6 +125,26 @@ TEST_P(SchedulerSlice, BudgetStopIsSliceGranular) {
   EXPECT_EQ(machine.total_instructions(), (slices + 1) * GetParam());
 }
 
+// The last-scheduled task outlives a run() call: a lone task that simply
+// continues in the next call is switched to once, not once per call.
+TEST_P(SchedulerSlice, RepeatedRunsOfALoneTaskSwitchOnce) {
+  Assembler as;
+  as.function("main");
+  as.label("loop");
+  as.add_imm(Reg::kX0, Reg::kX0, 1);
+  as.b("loop");
+  const sim::Program program = as.assemble();
+  obs::Recorder recorder;
+  MachineOptions options;
+  options.time_slice = GetParam();
+  options.recorder = &recorder;
+  Machine machine(program, options);
+  for (int i = 0; i < 3; ++i) {
+    EXPECT_EQ(machine.run(100).reason, StopReason::kMaxInstructions);
+  }
+  EXPECT_EQ(recorder.metrics().counter("kernel.ctx_switch"), 1U);
+}
+
 TEST_P(SchedulerSlice, LoneStretchCarriesTheCursorIntoTheInterleaving) {
   const sim::Program program = two_thread_program();
   obs::Recorder recorder;
@@ -164,8 +184,10 @@ TEST_P(SchedulerSlice, BreakpointOnASliceBoundary) {
   // The reporting step costs the stop an extra slice, so after the spawn
   // the worker runs first; output, cycles and instructions still match the
   // run without the breakpoint, and the switch count pins the interleaving.
+  // The second run() resumes main, the task the first one stopped in, so
+  // its first slice is no switch.
   Outcome want = pinned_two_thread(GetParam());
-  want.ctx_switches = GetParam() == 64 ? 20 : 46;
+  want.ctx_switches = GetParam() == 64 ? 19 : 45;
   expect_outcome(outcome_of(machine, recorder), want);
 }
 

@@ -6,6 +6,7 @@
 #include <ostream>
 
 #include "common/rng.h"
+#include "obs/recorder.h"
 #include "sim/assembler.h"
 
 namespace acs::sim {
@@ -578,12 +579,20 @@ TEST(Cpu, TraceBeforeWrapIsPartial) {
 /// Run the same program under both dispatch modes and require bitwise
 /// identical architectural results: register file, flags, PC, state,
 /// fault, cycles and instruction count. The decoded fast path must be an
-/// optimisation only.
+/// optimisation only. `observed` attaches a metrics recorder to each side
+/// and requires identical metrics too (retire counts, call-depth histogram).
 void expect_dispatch_equivalence(const std::function<void(Assembler&)>& body,
-                                 u64 max_steps = 100'000'000) {
+                                 u64 max_steps = 100'000'000,
+                                 bool observed = false) {
   CpuHarness fast(body);
   CpuHarness ref(body);
   ref.cpu().set_dispatch(DispatchMode::kInterpreter);
+  obs::Recorder fast_rec;
+  obs::Recorder ref_rec;
+  if (observed) {
+    fast.cpu().set_observer(fast_rec.attach(1, 0, "fast"));
+    ref.cpu().set_observer(ref_rec.attach(1, 0, "ref"));
+  }
   const RunState fast_state = fast.cpu().run(max_steps);
   const RunState ref_state = ref.cpu().run(max_steps);
   EXPECT_EQ(fast_state, ref_state);
@@ -603,6 +612,11 @@ void expect_dispatch_equivalence(const std::function<void(Assembler&)>& body,
   EXPECT_EQ(a.z, b.z);
   EXPECT_EQ(a.c, b.c);
   EXPECT_EQ(a.v, b.v);
+  if (observed) {
+    const obs::Metrics fast_metrics = fast_rec.metrics();
+    EXPECT_EQ(fast_metrics, ref_rec.metrics());
+    EXPECT_NE(fast_metrics.histograms().at("sim.call.depth").total(), 0U);
+  }
 }
 
 TEST(Cpu, DispatchModesAgreeOnCallsAndPa) {
@@ -654,6 +668,65 @@ TEST(Cpu, DispatchModesAgreeOnFaults) {
     as.eor(kLr, kLr, Reg::kX9);
     as.retaa();
   });
+}
+
+// Plain bl/ret recursion, run to completion and stopped mid-descent, with
+// and without a recorder: call depth, the call-depth histogram and the
+// retire counters must match the reference.
+TEST(Cpu, DispatchModesAgreeOnRecursion) {
+  const auto body = [](Assembler& as) {
+    as.mov_imm(Reg::kX0, 6);
+    as.bl("rec");
+    as.hlt();
+    as.function("rec");
+    as.cbz(Reg::kX0, "leaf");
+    as.str(kLr, Reg::kSp, -16, AddrMode::kPreIndex);
+    as.sub_imm(Reg::kX0, Reg::kX0, 1);
+    as.bl("rec");
+    as.ldr(kLr, Reg::kSp, 16, AddrMode::kPostIndex);
+    as.label("leaf");
+    as.ret();
+  };
+  for (const bool observed : {false, true}) {
+    expect_dispatch_equivalence(body, 100'000'000, observed);
+    expect_dispatch_equivalence(body, /*max_steps=*/20, observed);
+  }
+  CpuHarness h(body);
+  h.cpu().run(20);  // five calls deep: 2 + 4 * 4 + 2 steps
+  EXPECT_EQ(h.cpu().call_depth(), 5U);
+}
+
+// A ret through a corrupted LR retires and faults at the next fetch, with
+// the same fault kind, address and pc, steps and retired count as step().
+TEST(Cpu, DispatchModesAgreeOnRetThroughCorruptLr) {
+  const u64 non_canonical = u64{1} << 60;
+  for (const u64 target : {non_canonical, u64{kDataBase}, kCodeBase + 2,
+                           u64{kStackTop - 8}}) {
+    // At call depth 1 (the decrement) and at depth 0 (its guard).
+    expect_dispatch_equivalence(
+        [target](Assembler& as) {
+          as.bl("fn");
+          as.hlt();
+          as.function("fn");
+          as.mov_imm(kLr, target);
+          as.ret();
+        },
+        100'000'000, /*observed=*/true);
+    expect_dispatch_equivalence([target](Assembler& as) {
+      as.mov_imm(Reg::kX5, target);
+      as.ret(Reg::kX5);
+    });
+  }
+  CpuHarness h([&](Assembler& as) {
+    as.mov_imm(kLr, non_canonical);
+    as.ret();
+  });
+  EXPECT_EQ(h.cpu().run(), RunState::kFaulted);
+  EXPECT_EQ(h.cpu().fault().kind, FaultKind::kTranslation);
+  EXPECT_EQ(h.cpu().fault().address, non_canonical);
+  EXPECT_EQ(h.cpu().fault().pc, non_canonical);
+  EXPECT_EQ(h.cpu().instructions(), 2U);
+  EXPECT_EQ(h.cpu().last_run_steps(), 3U);
 }
 
 TEST(Cpu, DispatchModesAgreeOnBudgetExhaustion) {

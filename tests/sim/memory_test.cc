@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+#include <vector>
+
 namespace acs::sim {
 namespace {
 
@@ -185,6 +188,129 @@ TEST(Memory, LayoutVersionBumpsOnMap) {
   const u64 v1 = mem.layout_version();
   ASSERT_FALSE(mem.write_u64(0x1000, 1));  // writes do not change layout
   EXPECT_EQ(mem.layout_version(), v1);
+}
+
+// Span cache: more pages, in more regions, than the cache has entries,
+// visited round-robin so every access past the first lap evicts an entry
+// another page is about to need.
+TEST(Memory, SpanCacheRoundRobinOverManyPagesReadsBack) {
+  constexpr u64 kPage = AddressSpace::kPageSize;
+  AddressSpace mem;
+  std::vector<u64> addrs;
+  for (u64 r = 0; r < 3; ++r) {
+    const u64 base = 0x10'0000 * (r + 1);
+    mem.map(base, 3 * kPage, kPermRw, "data");
+    for (u64 p = 0; p < 3; ++p) addrs.push_back(base + p * kPage + 8 * r);
+  }
+  for (u64 lap = 0; lap < 4; ++lap) {
+    for (std::size_t i = 0; i < addrs.size(); ++i) {
+      ASSERT_FALSE(mem.write_u64(addrs[i], lap * 100 + i));
+    }
+    for (std::size_t i = 0; i < addrs.size(); ++i) {
+      EXPECT_EQ(mem.read_u64(addrs[i]).value, lap * 100 + i) << i;
+      // A neighbouring word of the same page stays untouched.
+      EXPECT_EQ(mem.read_u64(addrs[i] + 8).value, 0U) << i;
+    }
+  }
+  EXPECT_EQ(mem.private_pages(), addrs.size());
+}
+
+// A copy taken while the source caches a writable page shares that page:
+// the source's next write must CoW-clone it, not write it in place.
+TEST(Memory, SpanCacheCopyAfterCachedWriteKeepsSidesApart) {
+  AddressSpace master;
+  master.map(0x1000, AddressSpace::kPageSize, kPermRw, "data");
+  ASSERT_FALSE(master.write_u64(0x1000, 1));  // cached, exclusively owned
+  AddressSpace fork = master;
+  ASSERT_FALSE(master.write_u64(0x1008, 2));
+  EXPECT_EQ(fork.read_u64(0x1008).value, 0U);
+  ASSERT_FALSE(fork.write_u64(0x1010, 3));
+  EXPECT_EQ(master.read_u64(0x1010).value, 0U);
+  EXPECT_EQ(master.read_u64(0x1008).value, 2U);
+  EXPECT_EQ(fork.read_u64(0x1010).value, 3U);
+  EXPECT_EQ(fork.read_u64(0x1000).value, 1U);
+}
+
+// The source reads a page, a copy shares it, then the source writes it: the
+// CoW clone replaces the page the source's cache pointed at, so that entry
+// must go, and each side reads back its own value.
+TEST(Memory, SpanCacheCowCloneDropsTheStaleEntry) {
+  AddressSpace master;
+  master.map(0x1000, AddressSpace::kPageSize, kPermRw, "data");
+  ASSERT_FALSE(master.write_u64(0x1000, 10));
+  EXPECT_EQ(master.read_u64(0x1000).value, 10U);
+  const AddressSpace fork = master;
+  ASSERT_FALSE(master.write_u64(0x1000, 20));
+  EXPECT_EQ(master.read_u64(0x1000).value, 20U);
+  EXPECT_EQ(fork.read_u64(0x1000).value, 10U);
+}
+
+// Writes that bypass the span cache (byte stores, the adversary's and the
+// loader's word writes) are seen by the next cached read, whether they
+// write the cached page in place or CoW-clone it away from a copy.
+TEST(Memory, SpanCacheSeesUncachedWrites) {
+  for (const bool shared : {false, true}) {
+    AddressSpace mem;
+    mem.map(0x1000, AddressSpace::kPageSize, kPermRw, "data");
+    std::vector<AddressSpace> copies;
+    const auto warm = [&](u64 addr, u64 value) {
+      ASSERT_FALSE(mem.write_u64(addr, value));
+      ASSERT_EQ(mem.read_u64(addr).value, value);
+      if (shared) copies.push_back(mem);  // the next write must clone
+    };
+    warm(0x1000, 1);
+    ASSERT_TRUE(mem.adversary_write_u64(0x1000, 2));
+    EXPECT_EQ(mem.read_u64(0x1000).value, 2U) << shared;
+    warm(0x1008, 3);
+    mem.raw_write_u64(0x1008, 4);
+    EXPECT_EQ(mem.read_u64(0x1008).value, 4U) << shared;
+    warm(0x1010, 5);
+    ASSERT_FALSE(mem.write_u8(0x1010, 0xAA));
+    EXPECT_EQ(mem.read_u64(0x1010).value, 0xAAU) << shared;
+    for (std::size_t i = 0; i < copies.size(); ++i) {
+      EXPECT_EQ(copies[i].read_u64(0x1000).value, i == 0 ? 1U : 2U);
+    }
+  }
+}
+
+// A move hands the cached pages over with the region table: the target
+// reads through them, and the emptied source maps nothing, cached or not.
+TEST(Memory, SpanCacheMovesWithTheRegionTable) {
+  AddressSpace mem;
+  mem.map(0x1000, AddressSpace::kPageSize, kPermRw, "data");
+  ASSERT_FALSE(mem.write_u64(0x1000, 5));
+  AddressSpace moved = std::move(mem);
+  EXPECT_EQ(moved.read_u64(0x1000).value, 5U);
+  EXPECT_FALSE(mem.read_u64(0x1000).ok());
+  EXPECT_TRUE(mem.write_u64(0x1000, 6));  
+  AddressSpace assigned;
+  assigned = std::move(moved);
+  EXPECT_EQ(assigned.read_u64(0x1000).value, 5U);
+  EXPECT_FALSE(moved.read_u64(0x1000).ok());
+}
+
+// A warm cache changes no fault: seam-straddling and wrapping accesses next
+// to a cached page still fault, and a clipped region tail still reads.
+TEST(Memory, SpanCacheKeepsSeamAndWraparoundFaults) {
+  AddressSpace mem;
+  mem.map(0x0, 0x1000, kPermRw, "low");
+  mem.map(0x1000, 0x1000, kPermRw, "a");
+  mem.map(0x2000, 0x1004, kPermRw, "b");  // a 4-byte clipped last page
+  for (const u64 addr : {u64{0x0}, u64{0x1FF8}, u64{0x2000}}) {
+    ASSERT_FALSE(mem.write_u64(addr, 7));
+    ASSERT_EQ(mem.read_u64(addr).value, 7U);
+  }
+  EXPECT_EQ(mem.read_u64(0x1FFC).fault.kind, FaultKind::kTranslation);
+  EXPECT_EQ(mem.write_u64(0x1FFC, 1).kind, FaultKind::kTranslation);
+  for (const u64 addr : {~u64{0} - 3, ~u64{0} - 6, ~u64{0}}) {
+    EXPECT_EQ(mem.read_u64(addr).fault.kind, FaultKind::kTranslation);
+    EXPECT_EQ(mem.write_u64(addr, 1).kind, FaultKind::kTranslation);
+  }
+  // Page seam inside "b": the word straddles the clipped tail page.
+  ASSERT_FALSE(mem.write_u64(0x2FFC, 0x1122334455667788ULL));
+  EXPECT_EQ(mem.read_u64(0x2FFC).value, 0x1122334455667788ULL);
+  EXPECT_EQ(mem.read_u64(0x2FFD).fault.kind, FaultKind::kTranslation);
+  EXPECT_EQ(mem.read_u64(0x0).value, 7U);
 }
 
 TEST(Memory, RawAccessors) {
