@@ -1,4 +1,5 @@
-// E12 — availability under fault injection (Sections 4.3 / 6.1).
+// Extension (no experiment ID) — availability under fault injection
+// (Sections 4.3 / 6.1).
 //
 // The paper's crash-and-restart premise: a corrupted authenticated return
 // chain crashes the worker, the master restarts it, and service degrades

@@ -1,23 +1,21 @@
-// E13 — tail latency of the fork-per-request serving fleet (ROADMAP item 2).
+// Extension (no experiment ID) — tail latency of fork-per-request serving.
 //
-// The serving observability bench: requests arrive open-loop at a
-// configurable fraction of fleet capacity, each admitted request is served
-// by a fresh CoW fork of a master worker image, and crashed attempts back
-// off and restart with fresh keys (src/workload/serving.h). The sweep is
-// scheme x offered load x injected-fault rate; per configuration the bench
-// reports end-to-end p50/p90/p99/p999 in *simulated cycles* from
-// obs::LogHistogram, plus rejections (backpressure), restarts, and
-// throughput over the simulated makespan.
+// The paper's NGINX master/worker setting as a single serving station: a
+// one-tier, one-pool topology (src/workload/topology.h) of four worker
+// slots behind one bounded queue. Each admitted request is served by a
+// fresh CoW fork of its class's master image, and a crashed attempt backs
+// off and retries with fresh keys. The sweep is scheme x offered load x
+// baseline fault rate; per configuration the bench reports end-to-end
+// p50/p90/p99/p999 in *simulated cycles* from obs::LogHistogram, plus
+// drops (backpressure), retries, and goodput over the simulated makespan.
 //
-// Observability: --json trajectories carry the "serving" section (sweep
-// totals + per-configuration percentile summaries) and per-configuration
-// "obs" counters; --trace records one representative configuration's
-// request-span timeline (Perfetto async events + queue/in-flight counter
-// tracks); --profile writes folded cycle stacks. Every integer section —
-// including the full percentile trajectory — is bitwise identical for any
-// --threads value (pinned by the bench_serving_invariance ctest target at
-// 1 vs 2 vs 8 threads).
-#include <algorithm>
+// Observability: --json trajectories carry the "topology" section (sweep
+// totals + per-configuration outcome entries) and per-configuration "obs"
+// counters; --trace records one representative configuration's request
+// span timeline (Perfetto async events + queue/in-flight counter tracks).
+// Every integer section — including the full percentile trajectory — is
+// bitwise identical for any --threads value (pinned by the
+// bench_serving_invariance ctest target at 1 vs 2 vs 8 threads).
 #include <cstdio>
 #include <iostream>
 #include <string>
@@ -26,8 +24,7 @@
 #include "bench/harness.h"
 #include "common/table.h"
 #include "obs/metrics.h"
-#include "obs/profile.h"
-#include "workload/serving.h"
+#include "workload/topology.h"
 
 int main(int argc, char** argv) {
   using namespace acs;
@@ -37,21 +34,26 @@ int main(int argc, char** argv) {
       bench::parse_bench_args(argc, argv, "bench_serving_tail",
                               /*extra_usage=*/nullptr, /*obs_flags=*/true);
   bench::BenchReporter reporter("bench_serving_tail", options, 180);
+  if (!options.profile_path.empty()) {
+    // Reject up front rather than silently writing an empty profile: the
+    // topology simulation does not collect folded cycle stacks.
+    std::fprintf(stderr, "bench_serving_tail: --profile is not wired to the "
+                         "topology simulation\n");
+    return 2;
+  }
 
   const bool collect_metrics = !options.json_path.empty();
-  const bool collect_profile = !options.profile_path.empty();
   obs::Metrics obs_metrics;
-  obs::FoldedProfile obs_profile;
   std::string trace_json;
-  bench::ServingSection serving_totals;
+  bench::TopologySection totals;
 
-  std::printf("PACStack reproduction — serving-fleet tail latency "
-              "(fork-per-request model)\n");
+  std::printf("PACStack reproduction — serving tail latency "
+              "(one-tier fork-per-request topology)\n");
   std::printf("(latencies are end-to-end simulated cycles; load is %% of "
-              "calibrated fleet capacity)\n\n");
+              "calibrated capacity of 4 workers)\n\n");
 
   Table sweep({"scheme", "load %", "faults/M", "p50", "p99", "p999",
-               "rejected", "restarts", "req/sec"});
+               "dropped", "retries", "goodput_rps"});
 
   const struct {
     Scheme scheme;
@@ -60,76 +62,58 @@ int main(int argc, char** argv) {
   const std::vector<unsigned> loads = options.smoke
                                           ? std::vector<unsigned>{70, 110}
                                           : std::vector<unsigned>{60, 90, 120};
+  // The smoke rate is high enough that the 60-request pin crosses the
+  // crash, backoff and retry path.
   const std::vector<double> rates = options.smoke
-                                        ? std::vector<double>{0, 40}
+                                        ? std::vector<double>{0, 200}
                                         : std::vector<double>{0, 20, 60};
 
   bool traced = false;
   for (const auto& scheme : kSchemes) {
     for (const unsigned load : loads) {
       for (const double rate : rates) {
-        workload::ServingConfig config;
-        config.workers = 4;
+        workload::TopologyConfig config;
+        config.tiers = 1;
+        config.pools_per_tier = 1;
+        config.workers_per_pool = 4;
         config.requests = options.smoke ? 60 : 250;
         config.load_percent = load;
         config.queue_capacity = 32;
         config.faults_per_million = rate;
         config.max_restarts = 3;
+        config.backoff_initial_cycles = 50'000;
+        config.attempt_instr_budget = 4'000'000;
+        config.gauge_cadence_cycles = 20'000;
         config.seed = 180;
-        config.threads = options.threads;
         config.collect_metrics = collect_metrics;
-        config.collect_profile = collect_profile;
         // Trace one representative configuration: the first saturated,
         // faulted pacstack sweep point — its timeline shows admission,
-        // queueing, crash, backoff, and restart spans in one file.
+        // queueing, crash, backoff, and retry spans in one file.
         const bool trace_this = !options.trace_path.empty() && !traced &&
                                 scheme.scheme == Scheme::kPacStack &&
                                 load > 100 && rate > 0;
         config.trace = trace_this;
 
         const auto result =
-            workload::run_serving_simulation(scheme.scheme, config);
+            workload::run_topology_simulation(scheme.scheme, config);
 
         const std::string tag = std::string(scheme.label) + "_load" +
                                 std::to_string(load) + "_f" +
                                 std::to_string(static_cast<int>(rate));
         if (collect_metrics) obs_metrics.merge(result.metrics, tag + ".");
-        if (collect_profile) obs_profile.merge(result.profile, tag);
         if (trace_this) {
           trace_json = result.trace_json;
           traced = true;
         }
-
-        serving_totals.requests += result.requests;
-        serving_totals.admitted += result.admitted;
-        serving_totals.rejected += result.rejected;
-        serving_totals.completed += result.completed;
-        serving_totals.failed += result.failed;
-        serving_totals.crashed_attempts += result.crashed_attempts;
-        serving_totals.restarts += result.restarts;
-        serving_totals.forks += result.forks;
-        serving_totals.cow_pages_copied += result.cow_pages_copied;
-        serving_totals.queue_depth_max =
-            std::max(serving_totals.queue_depth_max, result.queue_depth_max);
-        serving_totals.inflight_max =
-            std::max(serving_totals.inflight_max, result.inflight_max);
-        serving_totals.gauge_samples += result.gauge_samples;
-        serving_totals.latency[tag] = bench::LatencySummary{
-            .p50 = result.latency.p50(),
-            .p90 = result.latency.p90(),
-            .p99 = result.latency.p99(),
-            .p999 = result.latency.p999(),
-            .max = result.latency.max(),
-            .count = result.latency.count(),
-        };
+        totals.add(tag, result);
 
         sweep.add_row(
             {scheme.label, std::to_string(load), Table::fmt(rate, 0),
              std::to_string(result.latency.p50()),
              std::to_string(result.latency.p99()),
              std::to_string(result.latency.p999()),
-             std::to_string(result.rejected), std::to_string(result.restarts),
-             Table::fmt(result.throughput_rps, 0)});
+             std::to_string(result.dropped), std::to_string(result.retries),
+             Table::fmt(result.goodput_rps, 0)});
         reporter.record("p50_" + tag, static_cast<double>(result.latency.p50()),
                         "cycles", result.latency.count());
         reporter.record("p90_" + tag, static_cast<double>(result.latency.p90()),
@@ -139,18 +123,18 @@ int main(int argc, char** argv) {
         reporter.record("p999_" + tag,
                         static_cast<double>(result.latency.p999()), "cycles",
                         result.latency.count());
-        reporter.record("throughput_" + tag, result.throughput_rps, "req/s",
+        reporter.record("goodput_rps_" + tag, result.goodput_rps, "req/s",
                         result.requests);
-        reporter.record("rejected_" + tag,
-                        static_cast<double>(result.rejected), "requests",
-                        result.requests);
+        reporter.record("dropped_" + tag, static_cast<double>(result.dropped),
+                        "requests", result.requests);
       }
     }
   }
   sweep.print(std::cout);
   std::printf("\nlatency = completion - arrival (queue wait + attempts + "
               "backoff), simulated cycles.\nbackpressure: arrivals beyond "
-              "queue_capacity=32 are rejected, not queued.\n");
+              "queue_capacity=32 are dropped, not queued.\ngoodput = "
+              "completions within the deadline (8 x mean service).\n");
 
   bool ok = true;
   if (!options.trace_path.empty()) {
@@ -159,13 +143,7 @@ int main(int argc, char** argv) {
          ok;
     if (ok) std::printf("[trace] wrote %s\n", options.trace_path.c_str());
   }
-  if (collect_profile) {
-    ok = bench::write_file(options.profile_path, obs_profile.folded(),
-                           "bench_serving_tail --profile") &&
-         ok;
-    if (ok) std::printf("[profile] wrote %s\n", options.profile_path.c_str());
-  }
   if (collect_metrics) reporter.set_obs_metrics(std::move(obs_metrics));
-  reporter.set_serving_section(std::move(serving_totals));
+  reporter.set_topology_section(std::move(totals));
   return (reporter.finish() && ok) ? 0 : 1;
 }

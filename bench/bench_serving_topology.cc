@@ -1,5 +1,5 @@
-// E14 — multi-tier serving topology under correlated fault storms
-// (ROADMAP item 2's "multi-tier" follow-on; src/workload/topology.h).
+// Extension (no experiment ID) — multi-tier serving topology under
+// correlated fault storms (src/workload/topology.h).
 //
 // Requests traverse two tiers of CoW-forked worker pools behind per-tier
 // load balancers, carrying an end-to-end deadline. The sweep is scheme x
@@ -121,51 +121,7 @@ int main(int argc, char** argv) {
             traced = true;
           }
 
-          totals.requests += result.requests;
-          totals.completed += result.completed;
-          totals.dropped += result.dropped;
-          totals.failed += result.failed;
-          totals.goodput += result.goodput;
-          totals.deadline_missed += result.deadline_missed;
-          totals.crashed_attempts += result.crashed_attempts;
-          totals.retries += result.retries;
-          totals.retry_budget_denied += result.retry_budget_denied;
-          totals.hedges += result.hedges;
-          totals.breaker_trips += result.breaker_trips;
-          totals.breaker_probes += result.breaker_probes;
-          totals.forks += result.forks;
-          totals.cow_pages_copied += result.cow_pages_copied;
-          totals.backoff_cycles += result.backoff_cycles;
-          totals.gauge_samples += result.gauge_samples;
-          for (const auto& [cause, count] : result.drops) {
-            totals.drops[cause] += count;
-          }
-          totals.configs[tag] = bench::TopologyEntry{
-              .requests = result.requests,
-              .completed = result.completed,
-              .dropped = result.dropped,
-              .failed = result.failed,
-              .goodput = result.goodput,
-              .deadline_missed = result.deadline_missed,
-              .crashed_attempts = result.crashed_attempts,
-              .retries = result.retries,
-              .breaker_trips = result.breaker_trips,
-              .pre_storm_arrivals = result.pre_storm.arrivals,
-              .pre_storm_goodput = result.pre_storm.goodput,
-              .storm_arrivals = result.storm.arrivals,
-              .storm_goodput = result.storm.goodput,
-              .post_storm_arrivals = result.post_storm.arrivals,
-              .post_storm_goodput = result.post_storm.goodput,
-              .latency =
-                  bench::LatencySummary{
-                      .p50 = result.latency.p50(),
-                      .p90 = result.latency.p90(),
-                      .p99 = result.latency.p99(),
-                      .p999 = result.latency.p999(),
-                      .max = result.latency.max(),
-                      .count = result.latency.count(),
-                  },
-          };
+          totals.add(tag, result);
 
           const std::string post =
               std::to_string(result.post_storm.goodput) + "/" +

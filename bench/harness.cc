@@ -7,6 +7,8 @@
 #include <fstream>
 #include <iostream>
 
+#include "workload/topology.h"
+
 namespace acs::bench {
 namespace {
 
@@ -182,8 +184,8 @@ namespace {
 
 namespace {
 
-/// {"p50": ..., ..., "count": ...} — the LatencySummary encoding shared by
-/// the "serving" and "topology" sections.
+/// {"p50": ..., ..., "count": ...} — the LatencySummary encoding of the
+/// "topology" section's entries.
 [[nodiscard]] std::string latency_summary_json(const LatencySummary& s) {
   return "{\"p50\": " + std::to_string(s.p50) + ", \"p90\": " +
          std::to_string(s.p90) + ", \"p99\": " + std::to_string(s.p99) +
@@ -194,13 +196,59 @@ namespace {
 
 }  // namespace
 
+void TopologySection::add(const std::string& tag,
+                          const workload::TopologyResult& result) {
+  requests += result.requests;
+  completed += result.completed;
+  dropped += result.dropped;
+  failed += result.failed;
+  goodput += result.goodput;
+  deadline_missed += result.deadline_missed;
+  crashed_attempts += result.crashed_attempts;
+  retries += result.retries;
+  retry_budget_denied += result.retry_budget_denied;
+  hedges += result.hedges;
+  breaker_trips += result.breaker_trips;
+  breaker_probes += result.breaker_probes;
+  forks += result.forks;
+  cow_pages_copied += result.cow_pages_copied;
+  backoff_cycles += result.backoff_cycles;
+  gauge_samples += result.gauge_samples;
+  for (const auto& [cause, count] : result.drops) drops[cause] += count;
+  configs[tag] = TopologyEntry{
+      .requests = result.requests,
+      .completed = result.completed,
+      .dropped = result.dropped,
+      .failed = result.failed,
+      .goodput = result.goodput,
+      .deadline_missed = result.deadline_missed,
+      .crashed_attempts = result.crashed_attempts,
+      .retries = result.retries,
+      .breaker_trips = result.breaker_trips,
+      .pre_storm_arrivals = result.pre_storm.arrivals,
+      .pre_storm_goodput = result.pre_storm.goodput,
+      .storm_arrivals = result.storm.arrivals,
+      .storm_goodput = result.storm.goodput,
+      .post_storm_arrivals = result.post_storm.arrivals,
+      .post_storm_goodput = result.post_storm.goodput,
+      .latency =
+          LatencySummary{
+              .p50 = result.latency.p50(),
+              .p90 = result.latency.p90(),
+              .p99 = result.latency.p99(),
+              .p999 = result.latency.p999(),
+              .max = result.latency.max(),
+              .count = result.latency.count(),
+          },
+  };
+}
+
 std::string to_json(const std::string& bench_name,
                     const BenchOptions& options, u64 base_seed,
                     const std::vector<Metric>& metrics,
                     double wall_seconds, const obs::Metrics* obs_metrics,
                     const FaultSection* faults, const FuzzSection* fuzz,
                     const SimSection* sim, const LintSection* lint,
-                    const ServingSection* serving,
                     const TopologySection* topology,
                     const KernelsSection* kernels) {
   std::string out;
@@ -293,41 +341,8 @@ std::string to_json(const std::string& bench_name,
            counter_map_json(lint->findings_by_function) + "\n";
     out += "  },\n";
   }
-  if (serving != nullptr) {
-    // Integer cycles/counters in fixed sweep order — like "obs", bitwise
-    // identical for every --threads value (the bench_serving_invariance
-    // ctest target pins the full percentile trajectory at 1 vs 2 vs 8).
-    out += "  \"serving\": {\n";
-    out += "    \"requests\": " + std::to_string(serving->requests) + ",\n";
-    out += "    \"admitted\": " + std::to_string(serving->admitted) + ",\n";
-    out += "    \"rejected\": " + std::to_string(serving->rejected) + ",\n";
-    out += "    \"completed\": " + std::to_string(serving->completed) + ",\n";
-    out += "    \"failed\": " + std::to_string(serving->failed) + ",\n";
-    out += "    \"crashed_attempts\": " +
-           std::to_string(serving->crashed_attempts) + ",\n";
-    out += "    \"restarts\": " + std::to_string(serving->restarts) + ",\n";
-    out += "    \"forks\": " + std::to_string(serving->forks) + ",\n";
-    out += "    \"cow_pages_copied\": " +
-           std::to_string(serving->cow_pages_copied) + ",\n";
-    out += "    \"queue_depth_max\": " +
-           std::to_string(serving->queue_depth_max) + ",\n";
-    out += "    \"inflight_max\": " + std::to_string(serving->inflight_max) +
-           ",\n";
-    out += "    \"gauge_samples\": " + std::to_string(serving->gauge_samples) +
-           ",\n";
-    out += "    \"latency\": {";
-    bool first_tag = true;
-    for (const auto& [tag, summary] : serving->latency) {
-      out += first_tag ? "\n" : ",\n";
-      first_tag = false;
-      out += "      \"" + escape_json(tag) +
-             "\": " + latency_summary_json(summary);
-    }
-    out += serving->latency.empty() ? "}\n" : "\n    }\n";
-    out += "  },\n";
-  }
   if (topology != nullptr) {
-    // Integer counters in fixed sweep order — like "serving", bitwise
+    // Integer counters in fixed sweep order — like "obs", bitwise
     // identical for every --threads value (the bench_topology_invariance
     // ctest target pins the section at 1 vs 2 vs 8 threads).
     out += "  \"topology\": {\n";
@@ -491,11 +506,6 @@ void BenchReporter::set_lint_section(LintSection lint) {
   has_lint_section_ = true;
 }
 
-void BenchReporter::set_serving_section(ServingSection serving) {
-  serving_section_ = std::move(serving);
-  has_serving_section_ = true;
-}
-
 void BenchReporter::set_topology_section(TopologySection topology) {
   topology_section_ = std::move(topology);
   has_topology_section_ = true;
@@ -519,7 +529,6 @@ bool BenchReporter::finish() {
               has_fuzz_section_ ? &fuzz_section_ : nullptr,
               has_sim_section_ ? &sim_section_ : nullptr,
               has_lint_section_ ? &lint_section_ : nullptr,
-              has_serving_section_ ? &serving_section_ : nullptr,
               has_topology_section_ ? &topology_section_ : nullptr,
               has_kernels_section_ ? &kernels_section_ : nullptr);
   if (!write_file(options_.json_path, body, bench_name_)) return false;

@@ -29,6 +29,10 @@
 #include "common/types.h"
 #include "obs/metrics.h"
 
+namespace acs::workload {
+struct TopologyResult;
+}  // namespace acs::workload
+
 namespace acs::bench {
 
 struct BenchOptions {
@@ -134,32 +138,11 @@ struct LatencySummary {
   u64 count = 0;  ///< completed requests behind the percentiles
 };
 
-/// Serving-simulation totals, emitted as the "serving" section of the JSON
-/// trajectory (see docs/bench-output.md). Counters are summed over every
-/// configuration in the sweep; `latency` carries one percentile summary
-/// per configuration tag (e.g. "pacstack_load90_f40"). All integers in
-/// fixed sweep order — bitwise identical for every --threads value.
-struct ServingSection {
-  u64 requests = 0;
-  u64 admitted = 0;
-  u64 rejected = 0;
-  u64 completed = 0;
-  u64 failed = 0;
-  u64 crashed_attempts = 0;
-  u64 restarts = 0;
-  u64 forks = 0;
-  u64 cow_pages_copied = 0;
-  u64 queue_depth_max = 0;  ///< max over all configurations
-  u64 inflight_max = 0;
-  u64 gauge_samples = 0;
-  std::map<std::string, LatencySummary> latency;  ///< config tag -> summary
-};
-
-/// One topology sweep configuration's outcome (bench_serving_topology):
-/// terminal accounting, storm-phase goodput, and the end-to-end latency
-/// summary. The phase split is the metastability probe — post-storm
-/// goodput staying collapsed after the storm window closes is the failure
-/// mode the mitigation arms exist to prevent.
+/// One topology sweep configuration's outcome (bench_serving_tail,
+/// bench_serving_topology): terminal accounting, storm-phase goodput, and
+/// the end-to-end latency summary. The phase split is the metastability
+/// probe — post-storm goodput staying collapsed after the storm window
+/// closes is the failure mode the mitigation arms exist to prevent.
 struct TopologyEntry {
   u64 requests = 0;
   u64 completed = 0;
@@ -179,12 +162,13 @@ struct TopologyEntry {
   LatencySummary latency;
 };
 
-/// Multi-tier topology totals, emitted as the "topology" section of the
-/// JSON trajectory (see docs/bench-output.md). Counters are summed over
-/// every configuration in the sweep; `configs` carries one TopologyEntry
-/// per configuration tag (e.g. "pacstack_load90_s8000_breaker-shed"). All
+/// Topology-engine totals, emitted as the "topology" section of the JSON
+/// trajectory (see docs/bench-output.md). Counters are summed over every
+/// configuration in the sweep; `configs` carries one TopologyEntry per
+/// configuration tag (e.g. "pacstack_load90_s8000_breaker-shed"). All
 /// integers in fixed sweep order — bitwise identical for every --threads
-/// value (pinned by the bench_topology_invariance ctest target).
+/// value (pinned by the bench_serving_invariance and
+/// bench_topology_invariance ctest targets).
 struct TopologySection {
   u64 requests = 0;
   u64 completed = 0;
@@ -204,6 +188,10 @@ struct TopologySection {
   u64 gauge_samples = 0;
   std::map<std::string, u64> drops;  ///< terminal cause -> count, summed
   std::map<std::string, TopologyEntry> configs;  ///< config tag -> outcome
+
+  /// Sum one run_topology_simulation result into the totals and file its
+  /// entry under `tag`.
+  void add(const std::string& tag, const workload::TopologyResult& result);
 };
 
 /// One (kernel point, scheme) measurement of the synthetic-kernel sweep
@@ -273,12 +261,8 @@ class BenchReporter {
   /// the JSON trajectory).
   void set_lint_section(LintSection lint);
 
-  /// Attach the serving-simulation totals (emitted as the "serving"
-  /// section of the JSON trajectory).
-  void set_serving_section(ServingSection serving);
-
-  /// Attach the multi-tier topology totals (emitted as the "topology"
-  /// section of the JSON trajectory).
+  /// Attach the topology-engine totals (emitted as the "topology" section
+  /// of the JSON trajectory).
   void set_topology_section(TopologySection topology);
 
   /// Attach the synthetic-kernel overhead surface (emitted as the
@@ -309,8 +293,6 @@ class BenchReporter {
   bool has_sim_section_ = false;
   LintSection lint_section_;
   bool has_lint_section_ = false;
-  ServingSection serving_section_;
-  bool has_serving_section_ = false;
   TopologySection topology_section_;
   bool has_topology_section_ = false;
   KernelsSection kernels_section_;
@@ -324,8 +306,8 @@ class BenchReporter {
 /// filesystem. `obs_metrics` (may be nullptr) adds the "obs" section;
 /// `faults` (may be nullptr) adds the "faults" section; `fuzz` (may be
 /// nullptr) adds the "fuzz" section; `sim` (may be nullptr) adds the "sim"
-/// section; `lint` (may be nullptr) adds the "lint" section; `serving`,
-/// `topology` and `kernels` (may be nullptr) add their sections likewise.
+/// section; `lint` (may be nullptr) adds the "lint" section; `topology`
+/// and `kernels` (may be nullptr) add their sections likewise.
 [[nodiscard]] std::string to_json(const std::string& bench_name,
                                   const BenchOptions& options, u64 base_seed,
                                   const std::vector<Metric>& metrics,
@@ -335,7 +317,6 @@ class BenchReporter {
                                   const FuzzSection* fuzz = nullptr,
                                   const SimSection* sim = nullptr,
                                   const LintSection* lint = nullptr,
-                                  const ServingSection* serving = nullptr,
                                   const TopologySection* topology = nullptr,
                                   const KernelsSection* kernels = nullptr);
 

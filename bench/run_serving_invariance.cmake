@@ -2,7 +2,7 @@
 # benches (bench_fault_availability, bench_sim_throughput,
 # bench_serving_tail, bench_serving_topology, bench_kernel_sweep): the JSON
 # trajectory — including every deterministic section ("obs", "faults",
-# "sim", "serving", "topology", "kernels") — must be bitwise identical for
+# "sim", "topology", "kernels") — must be bitwise identical for
 # --threads 1, 2 and 8. Only host timing (wall_seconds) and the echoed
 # thread count may differ, so both lines are always stripped before
 # comparing; benches that additionally report host-timed rates (e.g. the

@@ -81,7 +81,7 @@ set_tests_properties(bench_kernels_invariance PROPERTIES
                      LABELS "bench_smoke" TIMEOUT 600)
 
 # Thread-invariance pin for the serving tail-latency bench: the trajectory
-# — including the full "serving" percentile section — must be bitwise
+# — including the full "topology" percentile section — must be bitwise
 # identical at --threads 1, 2 and 8, and the threads=1 run must match the
 # checked-in reference trajectory exactly under acs-bench-diff (the
 # tail-latency regression gate).

@@ -92,9 +92,9 @@ inline u64 Cpu::ia_tag(u64 pointer, u64 modifier) {
 
 // ---------------------------------------------------------------------------
 // Op handlers — the single source of instruction semantics. run_fast's
-// threaded loop calls them directly by name; step() and the fallback loops
-// go through DecodedInstr::handler, and the interpreter path resolves the
-// same pointers per step via DecodedProgram::decode(). Every handler owns
+// threaded loop calls them directly by name; step() and the fetch-checked
+// loop go through DecodedInstr::handler, and the interpreter path resolves
+// the same pointers per step via DecodedProgram::decode(). Every handler owns
 // its full step: operand reads, state update, pc advance, and the finish()
 // epilogue (cycle charge + retire hook). Faulting memory/PA ops return
 // *without* finish(), so a faulted access charges no cycles — exactly the
@@ -739,7 +739,6 @@ u64 Cpu::run_fast(u64 max_steps) {
   if (limit != 0 && pauth_->layout().is_canonical(base) &&
       pauth_->layout().is_canonical(base + limit - 1) && exec_cached(base) &&
       limit <= exec_len_ - (base - exec_lo_)) {
-#if defined(__GNUC__) || defined(__clang__)
     // Computed-goto dispatch through a label table. Each case ends in its
     // own copy of ACS_DISPATCH in the source, but GCC at -O2 merges those
     // tails: the compiled loop has two indirect jumps (the first dispatch
@@ -916,22 +915,6 @@ u64 Cpu::run_fast(u64 max_steps) {
 #undef ACS_SYNC_IN
 #undef ACS_SYNC_OUT
     return steps;
-#else
-    for (; steps < max_steps && state_ == RunState::kReady; ++steps) {
-      const u64 off = pc_ - base;
-      if (off >= limit || (off & (kInstrBytes - 1)) != 0) {
-        raise(FaultKind::kTranslation, pc_);
-        continue;  // the faulting fetch consumed this step
-      }
-      const DecodedInstr& di = stream[off / kInstrBytes];
-      di.handler(*this, di);
-      if (state_ == RunState::kReady || state_ == RunState::kSvc ||
-          state_ == RunState::kHalted) {
-        ++instructions_;
-      }
-    }
-    return steps;
-#endif
   }
   for (; steps < max_steps && state_ == RunState::kReady; ++steps) {
     // Fetch check, same outcome as step(): non-canonical, out-of-program or

@@ -1,5 +1,5 @@
 // Saturating exponential supervisor backoff, shared by every workload
-// supervisor (fleet, serving, topology).
+// supervisor (fleet, topology).
 //
 // The backoff before restart r (1-based) is
 //   initial * multiplier^(r-1), saturating at `cap`.
@@ -29,7 +29,7 @@ inline constexpr u64 kDefaultBackoffCapCycles = 1'000'000'000;
 /// Backoff before restart `restart_number` (1-based):
 /// min(initial * multiplier^(restart_number - 1), cap). A multiplier of 0
 /// is clamped to 1 defensively (callers with a config surface reject it
-/// loudly instead — see ServingConfig validation).
+/// loudly instead — see run_topology_simulation's config checks).
 [[nodiscard]] constexpr u64 saturating_backoff(u64 initial_cycles,
                                                u64 multiplier,
                                                u64 restart_number,

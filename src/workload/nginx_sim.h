@@ -57,11 +57,12 @@ struct NginxObs {
 /// Build one worker's program with a jittered request mix.
 [[nodiscard]] compiler::ProgramIr make_worker_ir(u64 requests, u64 jitter_seed);
 
-/// Build a single-request program for the fork-per-request serving model
-/// (ROADMAP item 2, src/workload/serving.h): the same parse → handshake →
-/// respond shape as make_worker_ir, but serving exactly one request whose
-/// handshake drives `work_units` MAC blocks — the request-size knob that
-/// gives the serving simulation its heavy-tailed service distribution.
+/// Build a single-request program for the fork-per-request topology
+/// engine (src/workload/topology.h): the same parse → handshake → respond
+/// shape as make_worker_ir, but serving exactly one request whose
+/// handshake drives `work_units` MAC blocks — the request-size knob
+/// (workload/serving.h service classes) that gives the engine its
+/// heavy-tailed service distribution.
 [[nodiscard]] compiler::ProgramIr make_request_ir(u64 work_units,
                                                   u64 jitter_seed);
 

@@ -1,40 +1,14 @@
-// Fork-per-request serving simulation with tail-latency accounting
-// (ROADMAP item 2).
+// Request service classes shared by the fork-per-request workloads.
 //
-// Models the datacenter serving pattern PACStack's overhead question is
-// really about: a master process holds a fully-initialised worker image,
-// and every admitted request is served by a fresh CoW fork of it
-// (`kernel::Machine(master, options)` — the libriscv per-request-VM
-// idiom). Requests arrive open-loop at a configurable fraction of fleet
-// capacity, wait in a bounded FIFO queue (admission control: a full queue
-// rejects — backpressure), execute on one of `workers` slots, and crash /
-// back off / restart under fault injection exactly like the supervised
-// fleet (src/workload/fleet.h, always rekey-on-restart).
-//
-// End-to-end latency (completion − arrival, simulated cycles) lands in
-// `obs::LogHistogram`s, so the reported p50/p90/p99/p999 are integer
-// cycles. Request lifecycles are exported as obs span events (admitted →
-// queued → forked → executing → completed / crashed → backoff →
-// restarted) with the request id propagated as the Perfetto async id, and
-// queue-depth / in-flight gauges are sampled on a fixed cycle cadence.
-//
-// Determinism: per-request attempt outcomes are precomputed with
-// exec::parallel_map_trials (results land at the request index); the
-// queue simulation itself is sequential in simulated time and integer-
-// only. Every output — including the full percentile trajectory — is
-// bitwise identical for any --threads value.
+// Every request program (nginx_sim.h make_request_ir) runs a handshake of
+// `work_units` MAC blocks; its class is drawn from these weights. The
+// topology engine (workload/topology.h) compiles one master per class and
+// serves each attempt from a CoW fork of it.
 #pragma once
 
-#include <string>
 #include <vector>
 
 #include "common/types.h"
-#include "compiler/scheme.h"
-#include "inject/plan.h"
-#include "obs/loghist.h"
-#include "workload/backoff.h"
-#include "obs/metrics.h"
-#include "obs/profile.h"
 
 namespace acs::workload {
 
@@ -49,83 +23,5 @@ struct ServiceClass {
 
 /// The default mix: mostly small requests, a 1% huge tail.
 [[nodiscard]] const std::vector<ServiceClass>& default_service_classes();
-
-struct ServingConfig {
-  unsigned workers = 4;  ///< parallel worker slots served by one master
-  u64 requests = 200;    ///< open-loop arrivals to generate
-  /// Offered load as a percentage of measured fleet capacity (100 = the
-  /// arrival rate exactly matches what `workers` slots can serve on the
-  /// calibrated mean request). >100 saturates and exercises backpressure.
-  unsigned load_percent = 70;
-  /// Admission control: arrivals finding this many requests already
-  /// queued (admitted, not yet started) are rejected.
-  u64 queue_capacity = 64;
-  /// Mean injected faults per million instructions during attempts
-  /// (0 = fault-free). Kinds as in FleetConfig; empty = all six.
-  double faults_per_million = 0;
-  std::vector<inject::FaultKind> fault_kinds;
-  unsigned max_restarts = 3;  ///< per request; then the request fails
-  /// Exponential restart backoff, saturating at backoff_cap_cycles
-  /// (workload/backoff.h). A backoff_multiplier of 0 is a config error —
-  /// run_serving_simulation throws rather than silently treating it as 1.
-  u64 backoff_initial_cycles = 50'000;
-  unsigned backoff_multiplier = 2;
-  u64 backoff_cap_cycles = kDefaultBackoffCapCycles;
-  /// Queue-depth / in-flight gauges are sampled every this many simulated
-  /// cycles into the metrics histograms and the trace counter track.
-  u64 gauge_cadence_cycles = 20'000;
-  /// Per-attempt instruction watchdog ("hang" crash past this).
-  u64 attempt_instr_budget = 4'000'000;
-  u64 seed = 42;
-  unsigned threads = 1;  ///< host threads (0 = all); never changes results
-
-  // --- observability (see docs/observability.md) ------------------------
-  bool collect_metrics = false;
-  bool collect_profile = false;
-  bool trace = false;  ///< span/gauge timeline + per-request machine events
-  std::size_t trace_ring_capacity = 1 << 15;
-};
-
-struct ServingResult {
-  u64 requests = 0;   ///< arrivals generated
-  u64 admitted = 0;   ///< passed admission control
-  u64 rejected = 0;   ///< dropped by backpressure
-  u64 completed = 0;  ///< served to clean exit
-  u64 failed = 0;     ///< admitted but exhausted max_restarts
-  u64 crashed_attempts = 0;
-  u64 restarts = 0;
-  u64 backoff_cycles = 0;
-  u64 forks = 0;  ///< CoW machines constructed (one per attempt)
-  u64 cow_pages_copied = 0;
-
-  /// End-to-end latency of completed requests (completion − arrival).
-  obs::LogHistogram latency;
-  /// Admission-to-dispatch wait of admitted requests.
-  obs::LogHistogram queue_wait;
-  /// Busy time per admitted request (attempt cycles + backoff).
-  obs::LogHistogram service;
-
-  u64 makespan_cycles = 0;  ///< last completion (or last arrival)
-  u64 queue_depth_max = 0;  ///< exact maximum, not sample maximum
-  u64 inflight_max = 0;
-  u64 gauge_samples = 0;
-
-  /// Calibration echo: weighted mean service and derived mean
-  /// interarrival, both in simulated cycles.
-  u64 mean_service_cycles = 0;
-  u64 mean_interarrival_cycles = 0;
-
-  /// Completed requests per simulated second over the makespan.
-  double throughput_rps = 0;
-
-  obs::Metrics metrics;
-  obs::FoldedProfile profile;
-  std::string trace_json;  ///< empty unless config.trace
-};
-
-/// Run the serving simulation for one scheme. Throws std::runtime_error
-/// on a configuration that cannot make progress (zero workers/requests).
-[[nodiscard]] ServingResult run_serving_simulation(compiler::Scheme scheme,
-                                                   const ServingConfig& config);
 
 }  // namespace acs::workload

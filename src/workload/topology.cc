@@ -50,8 +50,7 @@ void apply_mitigation(TopologyConfig& config, Mitigation mitigation) {
 
 namespace {
 
-/// Decorrelates the per-request streams from the arrival-process stream
-/// (distinct from serving.cc's salts — independent universes).
+/// Decorrelates the per-request streams from the arrival-process stream.
 constexpr u64 kTopoRequestSalt = 0x746f'706f'2672'6571ULL;
 constexpr u64 kTopoArrivalSalt = 0x746f'706f'2661'7272ULL;
 
@@ -340,7 +339,7 @@ TopologyResult run_topology_simulation(compiler::Scheme scheme,
     result.drops[cause] = 0;
   }
 
-  // Open-loop arrivals (mean-preserving integer jitter, as in serving.cc).
+  // Open-loop arrivals (mean-preserving integer jitter).
   Rng arrivals_rng(config.seed ^ kTopoArrivalSalt);
   std::vector<u64> arrival(config.requests, 0);
   u64 clock = 0;
@@ -831,9 +830,19 @@ TopologyResult run_topology_simulation(compiler::Scheme scheme,
   result.makespan_cycles = std::max(result.makespan_cycles, last_arrival);
 
   // Gauge sweep on the fixed cadence: deltas were appended in event order,
-  // so each tier's running depth replays exactly.
+  // so each tier's running depth replays exactly. The by-name gauge
+  // histograms are kept only under collect_metrics, so only then are they
+  // named and filled.
   obs::Metrics gauge_metrics;
   {
+    std::vector<std::string> queue_names, inflight_names;
+    if (config.collect_metrics) {
+      for (unsigned tier = 0; tier < tiers; ++tier) {
+        const std::string prefix = "topo.tier" + std::to_string(tier);
+        queue_names.push_back(prefix + ".queue.depth");
+        inflight_names.push_back(prefix + ".inflight");
+      }
+    }
     std::vector<u64> queue_now(tiers, 0), inflight_now(tiers, 0);
     u64 open_now = 0;
     std::size_t next_delta = 0;
@@ -854,15 +863,18 @@ TopologyResult run_topology_simulation(compiler::Scheme scheme,
                                   t);
         tier_channel[tier]->gauge(obs::GaugeId::kInFlight, inflight_now[tier],
                                   t);
-        const std::string prefix = "topo.tier" + std::to_string(tier);
-        gauge_metrics.observe(prefix + ".queue.depth", obs::depth_edges(),
-                              queue_now[tier]);
-        gauge_metrics.observe(prefix + ".inflight", obs::depth_edges(),
-                              inflight_now[tier]);
+        if (config.collect_metrics) {
+          gauge_metrics.observe(queue_names[tier], obs::depth_edges(),
+                                queue_now[tier]);
+          gauge_metrics.observe(inflight_names[tier], obs::depth_edges(),
+                                inflight_now[tier]);
+        }
       }
       lb->gauge(obs::GaugeId::kBreakerOpenPools, open_now, t);
-      gauge_metrics.observe("topo.breaker.open_pools", obs::depth_edges(),
-                            open_now);
+      if (config.collect_metrics) {
+        gauge_metrics.observe("topo.breaker.open_pools", obs::depth_edges(),
+                              open_now);
+      }
       ++result.gauge_samples;
     }
   }

@@ -2,10 +2,11 @@
 // deadlines, retry budgets, circuit breakers, and graceful overload
 // degradation (ROADMAP item 2's "multi-tier" follow-on).
 //
-// The single-station serving model (serving.h) shows tail latency; this
-// module shows how PA-induced crash churn *compounds* across a request
-// path. A request traverses `tiers` tiers in sequence (frontend ->
-// backend). At each tier a load balancer routes it to one of
+// The one engine for every fork-per-request workload: a one-tier,
+// one-pool configuration is the single-station serving model
+// (bench_serving_tail's tail latency under baseline faults); more tiers
+// show how PA-induced crash churn *compounds* across a request path. A
+// request traverses `tiers` tiers in sequence (frontend -> backend). At each tier a load balancer routes it to one of
 // `pools_per_tier` worker pools — each a pool of `workers_per_pool`
 // CoW-forked kernel::Machine slots with its own bounded queue — picking
 // the admitting pool with the fewest outstanding requests (ties to the

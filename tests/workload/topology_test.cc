@@ -4,6 +4,7 @@
 
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "obs/metrics.h"
 #include "workload/serving.h"
@@ -48,6 +49,24 @@ TopologyConfig storm_config() {
   config.storm_end_permille = 750;
   config.fault_kinds = {inject::FaultKind::kBudgetExhaust};
   config.threads = 0;
+  return config;
+}
+
+/// The single-station serving preset bench_serving_tail runs: one tier, one
+/// pool of four workers behind one bounded queue, retried crashes.
+TopologyConfig one_tier_config() {
+  TopologyConfig config;
+  config.tiers = 1;
+  config.pools_per_tier = 1;
+  config.workers_per_pool = 4;
+  config.requests = 50;
+  config.load_percent = 80;
+  config.queue_capacity = 32;
+  config.max_restarts = 3;
+  config.backoff_initial_cycles = 50'000;
+  config.attempt_instr_budget = 4'000'000;
+  config.gauge_cadence_cycles = 20'000;
+  config.seed = 11;
   return config;
 }
 
@@ -288,64 +307,73 @@ TEST(Topology, UnmitigatedRetryStormGoesMetastableBaseline) {
 
 // --- determinism ----------------------------------------------------------
 
+/// Runs `input` at 1 and at 3 threads, expects every field, the metrics and
+/// the trace to match, and checks the accounting identities. Returns the
+/// 1-thread result for input-specific checks.
+TopologyResult expect_thread_count_invariant(const TopologyConfig& input) {
+  const auto run = [&input](unsigned threads) {
+    TopologyConfig config = input;
+    config.threads = threads;
+    config.collect_metrics = true;
+    config.trace = true;
+    return run_topology_simulation(Scheme::kPacStack, config);
+  };
+  const auto a = run(1);
+  const auto b = run(3);
+  EXPECT_EQ(a.completed, b.completed);
+  EXPECT_EQ(a.dropped, b.dropped);
+  EXPECT_EQ(a.failed, b.failed);
+  EXPECT_EQ(a.goodput, b.goodput);
+  EXPECT_EQ(a.deadline_missed, b.deadline_missed);
+  EXPECT_EQ(a.crashed_attempts, b.crashed_attempts);
+  EXPECT_EQ(a.retries, b.retries);
+  EXPECT_EQ(a.retry_budget_denied, b.retry_budget_denied);
+  EXPECT_EQ(a.hedges, b.hedges);
+  EXPECT_EQ(a.breaker_trips, b.breaker_trips);
+  EXPECT_EQ(a.breaker_probes, b.breaker_probes);
+  EXPECT_EQ(a.forks, b.forks);
+  EXPECT_EQ(a.attempts_simulated, b.attempts_simulated);
+  EXPECT_EQ(a.cow_pages_copied, b.cow_pages_copied);
+  EXPECT_EQ(a.backoff_cycles, b.backoff_cycles);
+  EXPECT_EQ(a.drops, b.drops);
+  EXPECT_EQ(a.makespan_cycles, b.makespan_cycles);
+  EXPECT_EQ(a.gauge_samples, b.gauge_samples);
+  EXPECT_EQ(a.latency.counts(), b.latency.counts());
+  EXPECT_EQ(a.tiers.size(), b.tiers.size());
+  for (std::size_t t = 0; t < a.tiers.size() && t < b.tiers.size(); ++t) {
+    EXPECT_EQ(a.tiers[t].dispatched, b.tiers[t].dispatched);
+    EXPECT_EQ(a.tiers[t].completed, b.tiers[t].completed);
+    EXPECT_EQ(a.tiers[t].queue_depth_max, b.tiers[t].queue_depth_max);
+    EXPECT_EQ(a.tiers[t].latency.counts(), b.tiers[t].latency.counts());
+    EXPECT_EQ(a.tiers[t].queue_wait.counts(), b.tiers[t].queue_wait.counts());
+  }
+  EXPECT_EQ(a.goodput_rps, b.goodput_rps);
+  EXPECT_EQ(a.metrics, b.metrics);
+  // The span/gauge timeline replays to the byte.
+  EXPECT_EQ(a.trace_json, b.trace_json);
+  EXPECT_FALSE(a.trace_json.empty());
+
+  EXPECT_EQ(a.completed + a.dropped + a.failed, a.requests);
+  EXPECT_EQ(drop_sum(a), a.dropped + a.failed);
+  EXPECT_EQ(a.pre_storm.arrivals + a.storm.arrivals + a.post_storm.arrivals,
+            a.requests);
+  return a;
+}
+
 TEST(Topology, ResultsAreThreadCountInvariant) {
   // Rate 0 takes clean-outcome reuse; a baseline rate reaches every
   // attempt, so each one is simulated.
   for (const double rate : {0.0, 50.0, 2000.0}) {
-    SCOPED_TRACE(rate);
-    const auto run = [rate](unsigned threads) {
-      TopologyConfig config = storm_config();
-      apply_mitigation(config, Mitigation::kBreakerShed);
-      config.requests = 120;
-      config.hedge_after_cycles = 4'000;
-      config.faults_per_million = rate;
-      config.threads = threads;
-      config.collect_metrics = true;
-      config.trace = true;
-      return run_topology_simulation(Scheme::kPacStack, config);
-    };
-    const auto a = run(1);
-    const auto b = run(3);
-    EXPECT_EQ(a.completed, b.completed);
-    EXPECT_EQ(a.dropped, b.dropped);
-    EXPECT_EQ(a.failed, b.failed);
-    EXPECT_EQ(a.goodput, b.goodput);
-    EXPECT_EQ(a.deadline_missed, b.deadline_missed);
-    EXPECT_EQ(a.crashed_attempts, b.crashed_attempts);
-    EXPECT_EQ(a.retries, b.retries);
-    EXPECT_EQ(a.retry_budget_denied, b.retry_budget_denied);
-    EXPECT_EQ(a.hedges, b.hedges);
-    EXPECT_EQ(a.breaker_trips, b.breaker_trips);
-    EXPECT_EQ(a.breaker_probes, b.breaker_probes);
-    EXPECT_EQ(a.forks, b.forks);
-    EXPECT_EQ(a.attempts_simulated, b.attempts_simulated);
-    EXPECT_EQ(a.cow_pages_copied, b.cow_pages_copied);
-    EXPECT_EQ(a.backoff_cycles, b.backoff_cycles);
-    EXPECT_EQ(a.drops, b.drops);
-    EXPECT_EQ(a.makespan_cycles, b.makespan_cycles);
-    EXPECT_EQ(a.gauge_samples, b.gauge_samples);
-    EXPECT_EQ(a.latency.counts(), b.latency.counts());
-    ASSERT_EQ(a.tiers.size(), b.tiers.size());
-    for (std::size_t t = 0; t < a.tiers.size(); ++t) {
-      EXPECT_EQ(a.tiers[t].dispatched, b.tiers[t].dispatched);
-      EXPECT_EQ(a.tiers[t].completed, b.tiers[t].completed);
-      EXPECT_EQ(a.tiers[t].queue_depth_max, b.tiers[t].queue_depth_max);
-      EXPECT_EQ(a.tiers[t].latency.counts(), b.tiers[t].latency.counts());
-      EXPECT_EQ(a.tiers[t].queue_wait.counts(),
-                b.tiers[t].queue_wait.counts());
-    }
-    EXPECT_EQ(a.goodput_rps, b.goodput_rps);
-    EXPECT_EQ(a.metrics, b.metrics);
-    // The span/gauge timeline replays to the byte.
-    EXPECT_EQ(a.trace_json, b.trace_json);
-    EXPECT_FALSE(a.trace_json.empty());
-
-    EXPECT_EQ(a.completed + a.dropped + a.failed, a.requests);
-    EXPECT_EQ(drop_sum(a), a.dropped + a.failed);
-    EXPECT_EQ(a.pre_storm.arrivals + a.storm.arrivals + a.post_storm.arrivals,
-              a.requests);
+    SCOPED_TRACE("rate " + std::to_string(rate));
+    TopologyConfig config = storm_config();
+    apply_mitigation(config, Mitigation::kBreakerShed);
+    config.requests = 120;
+    config.hedge_after_cycles = 4'000;
+    config.faults_per_million = rate;
+    const auto a = expect_thread_count_invariant(config);
     // A baseline rate reaches attempts off the stormed tier too.
     if (rate >= 2000) {
+      ASSERT_EQ(a.tiers.size(), 2U);
       EXPECT_GT(a.tiers[1].crashed_attempts, 0U);
     }
   }
@@ -461,6 +489,177 @@ TEST(Topology, DegenerateConfigsThrowLoudly) {
   config = storm_config();
   config.storm_pool = config.pools_per_tier;
   expect_throws(config, "storm pool");
+}
+
+// --- the one-tier serving preset ----------------------------------------
+
+TEST(Serving, FaultFreeRunCompletesEveryAdmittedRequest) {
+  const auto result =
+      run_topology_simulation(Scheme::kPacStack, one_tier_config());
+  EXPECT_EQ(result.requests, 50U);
+  EXPECT_EQ(result.completed + result.dropped, result.requests);
+  EXPECT_EQ(result.failed, 0U);
+  EXPECT_EQ(result.crashed_attempts, 0U);
+  EXPECT_EQ(result.retries, 0U);
+  // One CoW fork per admitted request when nothing crashes; only
+  // calibration's forks are simulated.
+  EXPECT_EQ(result.forks, result.completed);
+  EXPECT_EQ(result.attempts_simulated,
+            2 * default_service_classes().size());
+  EXPECT_EQ(result.latency.count(), result.completed);
+  EXPECT_EQ(result.tiers[0].queue_wait.count(), result.forks);
+  EXPECT_GT(result.goodput_rps, 0.0);
+  EXPECT_GT(result.mean_service_cycles, 0U);
+  EXPECT_GT(result.mean_interarrival_cycles, 0U);
+}
+
+TEST(Serving, LatencyDominatesQueueWaitAndService) {
+  // With one tier, tier residence is the whole request lifecycle: queue
+  // wait plus attempt time, so it dominates the queue wait.
+  const auto result =
+      run_topology_simulation(Scheme::kPacStack, one_tier_config());
+  EXPECT_EQ(result.latency.counts(), result.tiers[0].latency.counts());
+  EXPECT_GE(result.latency.p50(), result.tiers[0].queue_wait.p50());
+  EXPECT_GE(result.latency.p99(), result.tiers[0].queue_wait.p99());
+  EXPECT_LE(result.latency.p50(), result.latency.p90());
+  EXPECT_LE(result.latency.p90(), result.latency.p99());
+  EXPECT_LE(result.latency.p99(), result.latency.p999());
+}
+
+TEST(Serving, SaturationWithTinyQueueRejects) {
+  // 140% offered load into a 2-deep queue must trip admission control,
+  // and dropped requests are not served or latency-sampled.
+  TopologyConfig config = one_tier_config();
+  config.workers_per_pool = 2;
+  config.requests = 80;
+  config.load_percent = 140;
+  config.queue_capacity = 2;
+  const auto result = run_topology_simulation(Scheme::kPacStack, config);
+  EXPECT_GT(result.drops.at("queue-full"), 0U);
+  EXPECT_EQ(result.completed + result.dropped, result.requests);
+  EXPECT_EQ(result.latency.count(), result.completed);
+  EXPECT_LE(result.tiers[0].queue_depth_max, 2U);
+}
+
+TEST(Serving, FaultsCauseRestartsAndStretchTheTail) {
+  TopologyConfig config = one_tier_config();
+  config.requests = 80;
+  config.faults_per_million = 300;  // roughly one fault per few attempts
+  config.backoff_initial_cycles = 10'000;
+  const auto clean =
+      run_topology_simulation(Scheme::kPacStack, one_tier_config());
+  const auto faulted = run_topology_simulation(Scheme::kPacStack, config);
+  EXPECT_GT(faulted.crashed_attempts, 0U);
+  EXPECT_GT(faulted.retries, 0U);
+  EXPECT_GT(faulted.backoff_cycles, 0U);
+  // Every retry is an extra fork beyond the per-request one.
+  ASSERT_EQ(faulted.dropped, 0U);
+  EXPECT_EQ(faulted.forks, faulted.requests + faulted.retries);
+  // A retried request pays its backoff in latency: the faulted tail must
+  // sit above the clean tail.
+  EXPECT_GT(faulted.latency.p999(), clean.latency.p999());
+}
+
+TEST(Serving, ResultsAreThreadCountInvariant) {
+  // The one-tier preset under a baseline rate, overloaded behind a short
+  // queue, so crashes, retries and drops all replay.
+  TopologyConfig config = one_tier_config();
+  config.requests = 60;
+  config.load_percent = 110;
+  config.queue_capacity = 8;
+  config.faults_per_million = 200;
+  config.backoff_initial_cycles = 5'000;
+  config.seed = 23;
+  const auto a = expect_thread_count_invariant(config);
+  EXPECT_GT(a.crashed_attempts, 0U);
+}
+
+TEST(Serving, TraceCarriesTheRequestLifecycleSpans) {
+  TopologyConfig config = one_tier_config();
+  config.requests = 40;
+  config.load_percent = 130;
+  config.queue_capacity = 3;
+  config.faults_per_million = 300;
+  config.backoff_initial_cycles = 5'000;
+  config.trace = true;
+  const auto result = run_topology_simulation(Scheme::kPacStack, config);
+  ASSERT_FALSE(result.trace_json.empty());
+  // Async span begin/end with the request id propagated, plus the full
+  // crash -> backoff -> restart chain and both counter tracks.
+  for (const char* needle :
+       {"\"name\": \"request\", \"cat\": \"request\", \"ph\": \"b\"",
+        "\"name\": \"request\", \"cat\": \"request\", \"ph\": \"e\"",
+        "\"name\": \"queued\"", "\"name\": \"executing\"",
+        "\"name\": \"admitted\"", "\"name\": \"forked\"",
+        "\"name\": \"completed\"", "\"name\": \"crashed\"",
+        "\"name\": \"backoff\"", "\"name\": \"restarted\"",
+        "\"name\": \"rejected\"",
+        "\"name\": \"queue_depth\", \"cat\": \"serving\", \"ph\": \"C\"",
+        "\"name\": \"in_flight\"", "\"id\": \"0x1\""}) {
+    EXPECT_NE(result.trace_json.find(needle), std::string::npos) << needle;
+  }
+  EXPECT_GT(result.gauge_samples, 0U);
+}
+
+TEST(Serving, MetricsFoldSpanAndGaugeCounters) {
+  TopologyConfig config = one_tier_config();
+  config.collect_metrics = true;
+  config.trace = true;
+  const auto result = run_topology_simulation(Scheme::kPacStack, config);
+  EXPECT_EQ(result.metrics.counter("topo.forks"), result.forks);
+  EXPECT_GT(result.metrics.counter("obs.span.begin"), 0U);
+  // Queue depth, in-flight and the LB's open-breaker track per sample.
+  EXPECT_EQ(result.metrics.counter("obs.gauge.sample"),
+            result.gauge_samples * 3);
+  EXPECT_EQ(result.metrics.histograms().at("topo.tier0.queue.depth").total(),
+            result.gauge_samples);
+}
+
+TEST(Serving, ZeroWorkersOrRequestsThrow) {
+  TopologyConfig config = one_tier_config();
+  config.workers_per_pool = 0;
+  EXPECT_THROW((void)run_topology_simulation(Scheme::kPacStack, config),
+               std::runtime_error);
+  config = one_tier_config();
+  config.requests = 0;
+  EXPECT_THROW((void)run_topology_simulation(Scheme::kPacStack, config),
+               std::runtime_error);
+}
+
+TEST(Serving, ZeroLoadPercentThrows) {
+  TopologyConfig config = one_tier_config();
+  config.load_percent = 0;  // would divide by zero in calibration
+  EXPECT_THROW((void)run_topology_simulation(Scheme::kPacStack, config),
+               std::runtime_error);
+}
+
+TEST(Serving, DegenerateQueueAndBackoffConfigsThrowInsteadOfLyingQuietly) {
+  // A zero-capacity queue would drop every arrival and publish all-zero
+  // percentiles; a zero multiplier would silently become constant backoff.
+  TopologyConfig config = one_tier_config();
+  config.queue_capacity = 0;
+  EXPECT_THROW((void)run_topology_simulation(Scheme::kPacStack, config),
+               std::runtime_error);
+  config = one_tier_config();
+  config.backoff_multiplier = 0;
+  EXPECT_THROW((void)run_topology_simulation(Scheme::kPacStack, config),
+               std::runtime_error);
+}
+
+TEST(Serving, AbsurdBackoffLaddersSaturateInsteadOfWrapping) {
+  // Regression: initial * multiplier^retries overflows u64 after a few
+  // dozen retries; the accumulated backoff cycles used to wrap.
+  TopologyConfig config = one_tier_config();
+  config.requests = 60;
+  config.faults_per_million = 400;
+  config.backoff_initial_cycles = ~u64{0} / 2;
+  config.backoff_multiplier = 1000;
+  const auto result = run_topology_simulation(Scheme::kPacStack, config);
+  EXPECT_GT(result.crashed_attempts, 0U);
+  EXPECT_GT(result.retries, 0U);
+  // Every backoff saturated at the cap, so the sum is exactly explainable
+  // and far below the wrap point.
+  EXPECT_EQ(result.backoff_cycles, result.retries * config.backoff_cap_cycles);
 }
 
 }  // namespace

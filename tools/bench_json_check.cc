@@ -241,74 +241,8 @@ std::string check_lint_section(const Value& lint) {
   return {};
 }
 
-/// Validate the optional "serving" section (serving-simulation totals, see
-/// docs/bench-output.md): numeric counters, accounting identities
-/// (admitted + rejected == requests; completed + failed <= admitted), and a
-/// {tag: summary} "latency" map whose percentile summaries must be
-/// monotone (p50 <= p90 <= p99 <= p999 <= max).
-std::string check_serving_section(const Value& serving) {
-  const Object* top = serving.object();
-  if (top == nullptr) return "'serving' is not an object";
-
-  for (const char* key :
-       {"requests", "admitted", "rejected", "completed", "failed",
-        "crashed_attempts", "restarts", "forks", "cow_pages_copied",
-        "queue_depth_max", "inflight_max", "gauge_samples"}) {
-    const Value* v = find(*top, key);
-    if (v == nullptr || !v->is_number()) {
-      return std::string("'serving.") + key + "' missing or not a number";
-    }
-  }
-
-  const double requests = find(*top, "requests")->number();
-  const double admitted = find(*top, "admitted")->number();
-  const double rejected = find(*top, "rejected")->number();
-  const double completed = find(*top, "completed")->number();
-  const double failed = find(*top, "failed")->number();
-  if (admitted + rejected != requests) {
-    return "'serving' admission accounting broken "
-           "(admitted + rejected != requests)";
-  }
-  if (completed + failed > admitted) {
-    return "'serving' completion accounting broken "
-           "(completed + failed > admitted)";
-  }
-
-  const Value* latency = find(*top, "latency");
-  if (latency == nullptr || latency->object() == nullptr) {
-    return "'serving.latency' missing or not an object";
-  }
-  for (const auto& [tag, value] : *latency->object()) {
-    const std::string where = "'serving.latency." + tag + "'";
-    const Object* summary = value.object();
-    if (summary == nullptr) return where + " is not an object";
-    for (const char* key : {"p50", "p90", "p99", "p999", "max", "count"}) {
-      const Value* v = find(*summary, key);
-      if (v == nullptr || !v->is_number()) {
-        return where + " lacks numeric '" + key + "'";
-      }
-    }
-    const double p50 = find(*summary, "p50")->number();
-    const double p90 = find(*summary, "p90")->number();
-    const double p99 = find(*summary, "p99")->number();
-    const double p999 = find(*summary, "p999")->number();
-    const double max = find(*summary, "max")->number();
-    const double count = find(*summary, "count")->number();
-    if (count > 0 && !(p50 <= p90 && p90 <= p99 && p99 <= p999)) {
-      return where + " percentiles are not monotone";
-    }
-    // LogHistogram quantiles are bucket upper bounds, so each percentile
-    // may exceed the exact maximum only by its bucket's rounding slack
-    // (< 1/32 relative at the default sub-bucket resolution).
-    if (count > 0 && p999 > max + max / 32 + 1) {
-      return where + " p999 exceeds max beyond bucket rounding";
-    }
-  }
-  return {};
-}
-
-/// Validate the optional "topology" section (multi-tier serving topology
-/// totals, see docs/bench-output.md): numeric totals with the accounting
+/// Validate the optional "topology" section (topology-engine totals, see
+/// docs/bench-output.md): numeric totals with the accounting
 /// identities (completed + dropped + failed == requests; goodput +
 /// deadline_missed == completed), a {cause: number} "drops" map, and a
 /// {tag: entry} "configs" map whose entries carry per-phase goodput
@@ -586,11 +520,6 @@ std::string check_schema(const Value& root) {
 
   if (const Value* lint = find(*top, "lint")) {
     std::string error = check_lint_section(*lint);
-    if (!error.empty()) return error;
-  }
-
-  if (const Value* serving = find(*top, "serving")) {
-    std::string error = check_serving_section(*serving);
     if (!error.empty()) return error;
   }
 
