@@ -12,10 +12,7 @@ namespace {
 /// Host-timing / host-rate leaves: the only trajectory content that is
 /// allowed to differ between two runs of the same build (docs/
 /// bench-output.md). Matched against the final path segment.
-const char* const kDefaultIgnoredKeys[] = {
-    "wall_seconds", "threads", "ips_interpreter", "ips_decoded",
-    "speedup",      "forks_per_sec",
-};
+const char* const kDefaultIgnoredKeys[] = {"wall_seconds", "threads"};
 
 bool is_ignored(const std::string& path, const DiffOptions& options) {
   const std::size_t dot = path.rfind('.');

@@ -248,7 +248,7 @@ std::string to_json(const std::string& bench_name,
                     const std::vector<Metric>& metrics,
                     double wall_seconds, const obs::Metrics* obs_metrics,
                     const FaultSection* faults, const FuzzSection* fuzz,
-                    const SimSection* sim, const LintSection* lint,
+                    const LintSection* lint,
                     const TopologySection* topology,
                     const KernelsSection* kernels) {
   std::string out;
@@ -297,27 +297,6 @@ std::string to_json(const std::string& bench_name,
     out += "    \"coverage_fingerprint\": \"" + std::string(fp) + "\",\n";
     out += "    \"findings\": " + counter_map_json(fuzz->findings_by_oracle) +
            "\n";
-    out += "  },\n";
-  }
-  if (sim != nullptr) {
-    // instr/sec rates are host-dependent; the counts and the equivalence
-    // fingerprint are bitwise identical for every --threads value.
-    char fp[32];
-    std::snprintf(fp, sizeof fp, "0x%016llx",
-                  static_cast<unsigned long long>(sim->equivalence_fingerprint));
-    out += "  \"sim\": {\n";
-    out += "    \"instructions\": " + std::to_string(sim->instructions) + ",\n";
-    out += "    \"ips_interpreter\": " + format_double(sim->ips_interpreter) +
-           ",\n";
-    out += "    \"ips_decoded\": " + format_double(sim->ips_decoded) + ",\n";
-    out += "    \"speedup\": " + format_double(sim->speedup) + ",\n";
-    out += "    \"forks_per_sec\": " + format_double(sim->forks_per_sec) +
-           ",\n";
-    out += "    \"cow_private_pages\": " +
-           std::to_string(sim->cow_private_pages) + ",\n";
-    out += "    \"equivalence_runs\": " +
-           std::to_string(sim->equivalence_runs) + ",\n";
-    out += "    \"equivalence_fingerprint\": \"" + std::string(fp) + "\"\n";
     out += "  },\n";
   }
   if (lint != nullptr) {
@@ -496,11 +475,6 @@ void BenchReporter::set_fuzz_section(FuzzSection fuzz) {
   has_fuzz_section_ = true;
 }
 
-void BenchReporter::set_sim_section(SimSection sim) {
-  sim_section_ = sim;
-  has_sim_section_ = true;
-}
-
 void BenchReporter::set_lint_section(LintSection lint) {
   lint_section_ = std::move(lint);
   has_lint_section_ = true;
@@ -527,7 +501,6 @@ bool BenchReporter::finish() {
               has_obs_metrics_ ? &obs_metrics_ : nullptr,
               has_fault_section_ ? &fault_section_ : nullptr,
               has_fuzz_section_ ? &fuzz_section_ : nullptr,
-              has_sim_section_ ? &sim_section_ : nullptr,
               has_lint_section_ ? &lint_section_ : nullptr,
               has_topology_section_ ? &topology_section_ : nullptr,
               has_kernels_section_ ? &kernels_section_ : nullptr);

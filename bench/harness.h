@@ -108,24 +108,6 @@ struct LintSection {
   std::map<std::string, u64> findings_by_function;  ///< function -> count
 };
 
-/// Simulator-throughput totals, emitted as the "sim" section of the JSON
-/// trajectory (see docs/bench-output.md and docs/simulator.md). The
-/// instr/sec rates are host-dependent; everything else — instruction
-/// counts, page counts and the equivalence fingerprint over architectural
-/// outcomes — is deterministic and bitwise identical for every --threads
-/// value (bench_sim_throughput exits non-zero if the dispatch modes ever
-/// diverge).
-struct SimSection {
-  u64 instructions = 0;      ///< instructions retired per measured run
-  double ips_interpreter = 0;  ///< instr/sec, re-decode-per-step path
-  double ips_decoded = 0;      ///< instr/sec, predecoded fast path
-  double speedup = 0;          ///< ips_decoded / ips_interpreter
-  double forks_per_sec = 0;    ///< CoW Machine forks constructed per second
-  u64 cow_private_pages = 0;   ///< pages one fork privatised by running
-  u64 equivalence_runs = 0;    ///< machine runs folded into the fingerprint
-  u64 equivalence_fingerprint = 0;  ///< digest of outcomes, hex in JSON
-};
-
 /// One configuration's end-to-end latency summary: integer simulated
 /// cycles extracted from an obs::LogHistogram (docs/observability.md
 /// "Latency histograms") — deterministic for every --threads value.
@@ -253,10 +235,6 @@ class BenchReporter {
   /// the JSON trajectory).
   void set_fuzz_section(FuzzSection fuzz);
 
-  /// Attach the simulator-throughput totals (emitted as the "sim" section
-  /// of the JSON trajectory).
-  void set_sim_section(SimSection sim);
-
   /// Attach the static-verifier totals (emitted as the "lint" section of
   /// the JSON trajectory).
   void set_lint_section(LintSection lint);
@@ -289,8 +267,6 @@ class BenchReporter {
   bool has_fault_section_ = false;
   FuzzSection fuzz_section_;
   bool has_fuzz_section_ = false;
-  SimSection sim_section_;
-  bool has_sim_section_ = false;
   LintSection lint_section_;
   bool has_lint_section_ = false;
   TopologySection topology_section_;
@@ -305,9 +281,9 @@ class BenchReporter {
 /// Exposed separately so tests can check the encoding without touching the
 /// filesystem. `obs_metrics` (may be nullptr) adds the "obs" section;
 /// `faults` (may be nullptr) adds the "faults" section; `fuzz` (may be
-/// nullptr) adds the "fuzz" section; `sim` (may be nullptr) adds the "sim"
-/// section; `lint` (may be nullptr) adds the "lint" section; `topology`
-/// and `kernels` (may be nullptr) add their sections likewise.
+/// nullptr) adds the "fuzz" section; `lint` (may be nullptr) adds the
+/// "lint" section; `topology` and `kernels` (may be nullptr) add their
+/// sections likewise.
 [[nodiscard]] std::string to_json(const std::string& bench_name,
                                   const BenchOptions& options, u64 base_seed,
                                   const std::vector<Metric>& metrics,
@@ -315,7 +291,6 @@ class BenchReporter {
                                   const obs::Metrics* obs_metrics = nullptr,
                                   const FaultSection* faults = nullptr,
                                   const FuzzSection* fuzz = nullptr,
-                                  const SimSection* sim = nullptr,
                                   const LintSection* lint = nullptr,
                                   const TopologySection* topology = nullptr,
                                   const KernelsSection* kernels = nullptr);

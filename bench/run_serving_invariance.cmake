@@ -1,13 +1,10 @@
 # Pins the thread-invariance determinism contract shared by the campaign
-# benches (bench_fault_availability, bench_sim_throughput,
-# bench_serving_tail, bench_serving_topology, bench_kernel_sweep): the JSON
-# trajectory — including every deterministic section ("obs", "faults",
-# "sim", "topology", "kernels") — must be bitwise identical for
-# --threads 1, 2 and 8. Only host timing (wall_seconds) and the echoed
-# thread count may differ, so both lines are always stripped before
-# comparing; benches that additionally report host-timed rates (e.g. the
-# instr/sec fields of bench_sim_throughput) list those field names in
-# STRIP_FIELDS and every line mentioning one is stripped as well.
+# benches (bench_fault_availability, bench_serving_tail,
+# bench_serving_topology, bench_kernel_sweep): the JSON trajectory —
+# including every deterministic section ("obs", "faults", "topology",
+# "kernels") — must be bitwise identical for --threads 1, 2 and 8. Only
+# host timing (wall_seconds) and the echoed thread count may differ, so
+# both lines are stripped before comparing.
 #
 # Optionally (when DIFF and REFERENCE are given) the threads=1 trajectory
 # is also compared against the checked-in reference JSON with acs-bench-diff
@@ -15,7 +12,6 @@
 # diff is exact (--threshold=0); acs-bench-diff ignores host-timed keys.
 # Inputs: -DBENCH=<bench binary> -DJSON_DIR=<scratch dir>
 #         [-DPREFIX=<output-file prefix, default "serving">]
-#         [-DSTRIP_FIELDS=<;-list of host-timed field names to strip>]
 #         [-DDIFF=<acs-bench-diff> -DREFERENCE=<baseline json>]
 
 if(NOT DEFINED BENCH OR NOT DEFINED JSON_DIR)
@@ -23,9 +19,6 @@ if(NOT DEFINED BENCH OR NOT DEFINED JSON_DIR)
 endif()
 if(NOT DEFINED PREFIX)
   set(PREFIX "serving")
-endif()
-if(NOT DEFINED STRIP_FIELDS)
-  set(STRIP_FIELDS "")
 endif()
 
 set(reference "")
@@ -47,18 +40,11 @@ foreach(threads 1 2 8)
     message(FATAL_ERROR "${BENCH} did not write ${json}")
   endif()
 
-  # Strip host timing (wall_seconds), the echoed thread count, and any
-  # bench-specific host-timed fields — the only lines allowed to differ
-  # between runs.
+  # Strip host timing (wall_seconds) and the echoed thread count — the
+  # only lines allowed to differ between runs.
   file(READ "${json}" body)
   string(REGEX REPLACE "\n *\"wall_seconds\":[^\n]*" "" body "${body}")
   string(REGEX REPLACE "\n *\"threads\":[^\n]*" "" body "${body}")
-  foreach(field IN LISTS STRIP_FIELDS)
-    # Drops both section lines ("<field>": ...) and metric lines
-    # ({"name": "<field>", ...}); a substring match so suffixed variants
-    # (e.g. ips_interpreter_alu) fall under the base field name.
-    string(REGEX REPLACE "\n[^\n]*\"${field}[^\n]*" "" body "${body}")
-  endforeach()
 
   if(reference STREQUAL "")
     set(reference "${body}")

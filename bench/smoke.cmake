@@ -16,11 +16,8 @@ set(ACS_SMOKE_BENCHES
   bench_reuse
   bench_ablation
   bench_fault_availability
-  bench_sim_throughput
   bench_serving_tail
   bench_serving_topology
-  bench_micro_pa
-  bench_obs_overhead
   bench_kernel_sweep
 )
 
@@ -53,19 +50,6 @@ add_test(NAME bench_fault_invariance
                  -DPREFIX=fault
                  -P ${CMAKE_CURRENT_SOURCE_DIR}/run_serving_invariance.cmake)
 set_tests_properties(bench_fault_invariance PROPERTIES
-                     LABELS "bench_smoke" TIMEOUT 600)
-
-# Thread-invariance pin for the simulator throughput bench: the whole
-# trajectory must be bitwise identical at --threads 1, 2 and 8 once the
-# host-timed instr/sec, speedup and forks/sec rates are stripped.
-add_test(NAME bench_sim_invariance
-         COMMAND ${CMAKE_COMMAND}
-                 -DBENCH=$<TARGET_FILE:bench_sim_throughput>
-                 -DJSON_DIR=${CMAKE_CURRENT_BINARY_DIR}
-                 -DPREFIX=sim
-                 "-DSTRIP_FIELDS=ips_interpreter;ips_decoded;speedup;dispatch_speedup;forks_per_sec"
-                 -P ${CMAKE_CURRENT_SOURCE_DIR}/run_serving_invariance.cmake)
-set_tests_properties(bench_sim_invariance PROPERTIES
                      LABELS "bench_smoke" TIMEOUT 600)
 
 # Thread-invariance pin for the synthetic-kernel overhead sweep: the

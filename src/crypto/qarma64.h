@@ -14,7 +14,7 @@
 // bijectivity of the component permutations, and avalanche/key/tweak
 // separation. The PAC layer uses SipHash-2-4 by default (vector-verified);
 // QarmaMac is provided for structural-fidelity experiments and performance
-// comparison (bench_micro_pa).
+// comparison (perfbench's crypto.qarma_ns).
 #pragma once
 
 #include "common/types.h"

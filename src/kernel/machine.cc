@@ -153,7 +153,6 @@ Task& Machine::create_task(Process& process, u64 entry_pc, u64 arg,
 
   sim::Cpu& cpu = task->cpu();
   cpu.set_costs(options_.costs);
-  cpu.set_dispatch(options_.dispatch);
   if (options_.trace_depth > 0) cpu.enable_trace(options_.trace_depth);
   for (u64 bp : global_breakpoints_) cpu.add_breakpoint(bp);
   cpu.set_pc(entry_pc);

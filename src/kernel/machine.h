@@ -61,10 +61,6 @@ struct MachineOptions {
   /// signal frame are caught too, not just PC/CR.
   bool sigreturn_bind_all_regs = false;
   bool reseed_threads = true;      ///< Section 4.3: CR seeded with tid
-  /// Instruction dispatch for every hart: the predecoded fast path by
-  /// default; kInterpreter re-decodes per step (the reference path the
-  /// throughput bench and differential tests compare against).
-  sim::DispatchMode dispatch = sim::DispatchMode::kDecoded;
   u64 time_slice = 64;             ///< instructions per scheduling quantum
   u64 seed = 1;                    ///< keys, canary, pids
   sim::CycleCosts costs{};         ///< cycle model for every hart

@@ -93,12 +93,10 @@ inline u64 Cpu::ia_tag(u64 pointer, u64 modifier) {
 // ---------------------------------------------------------------------------
 // Op handlers — the single source of instruction semantics. run_fast's
 // threaded loop calls them directly by name; step() and the fetch-checked
-// loop go through DecodedInstr::handler, and the interpreter path resolves
-// the same pointers per step via DecodedProgram::decode(). Every handler owns
-// its full step: operand reads, state update, pc advance, and the finish()
-// epilogue (cycle charge + retire hook). Faulting memory/PA ops return
-// *without* finish(), so a faulted access charges no cycles — exactly the
-// old switch semantics.
+// loop go through DecodedInstr::handler. Every handler owns its full step:
+// operand reads, state update, pc advance, and the finish() epilogue (cycle
+// charge + retire hook). Faulting memory/PA ops return *without* finish(),
+// so a faulted access charges no cycles — exactly the old switch semantics.
 // ---------------------------------------------------------------------------
 struct CpuOps {
   static void nop(Cpu& c, const DecodedInstr& d) {
@@ -605,12 +603,8 @@ RunState Cpu::step() {
     if (trace_next_ == 0) trace_wrapped_ = true;
   }
 
-  if (dispatch_ == DispatchMode::kDecoded) {
-    const DecodedInstr& di = decoded_->at(pc_);
-    di.handler(*this, di);
-  } else {
-    execute(program_->at(pc_));
-  }
+  const DecodedInstr& di = decoded_->at(pc_);
+  di.handler(*this, di);
   if (state_ == RunState::kReady || state_ == RunState::kSvc ||
       state_ == RunState::kHalted) {
     ++instructions_;
@@ -698,8 +692,7 @@ bool Cpu::apply_injection() {
 RunState Cpu::run(u64 max_steps) {
   steps_exhausted_ = false;
   u64 steps = 0;
-  if (dispatch_ == DispatchMode::kDecoded && breakpoints_.empty() &&
-      trace_ring_.empty()) {
+  if (breakpoints_.empty() && trace_ring_.empty()) {
     if (inject_ == nullptr) {
       steps = run_fast(max_steps);
     } else {
@@ -1001,11 +994,6 @@ void Cpu::indirect_branch(u64 target, bool link) {
   }
   if (link) set_reg(kLr, pc_ + kInstrBytes);
   branch_to(target);
-}
-
-void Cpu::execute(const Instruction& instr) {
-  const DecodedInstr di = DecodedProgram::decode(instr);
-  di.handler(*this, di);
 }
 
 }  // namespace acs::sim

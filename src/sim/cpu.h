@@ -57,12 +57,6 @@ enum class RunState : u8 {
   kBreakpoint,  ///< paused at an adversary/debugger breakpoint
 };
 
-/// How step()/run() resolve an instruction to its semantics.
-enum class DispatchMode : u8 {
-  kDecoded,      ///< predecoded stream, function-pointer dispatch (default)
-  kInterpreter,  ///< decode every instruction on every step (reference path)
-};
-
 class Cpu {
  public:
   /// Builds (and owns) a fresh decoded stream for `program`.
@@ -81,14 +75,16 @@ class Cpu {
 
   // --- execution -----------------------------------------------------------
   /// Execute one instruction (or hit a breakpoint). Returns the new state.
+  /// This per-instruction path is the reference run_fast is tested against.
   RunState step();
 
   /// Run until a non-ready state or `max_steps` instructions. When no
-  /// breakpoints or trace ring are attached and dispatch is kDecoded, this
-  /// uses a tight fetch/dispatch loop that hoists the per-step breakpoint
-  /// and region lookups out of the hot path. An attached injector keeps
-  /// that loop up to its next count-triggered fault; only the fault's due
-  /// window and pc-triggered faults take per-step step() calls.
+  /// breakpoints or trace ring are attached, this uses a tight
+  /// fetch/dispatch loop that hoists the per-step breakpoint and region
+  /// lookups out of the hot path; otherwise it calls step() per
+  /// instruction. An attached injector keeps that loop up to its next
+  /// count-triggered fault; only the fault's due window and pc-triggered
+  /// faults take per-step step() calls.
   RunState run(u64 max_steps = 100'000'000);
 
   /// True when the last run() stopped because it used up `max_steps` while
@@ -102,9 +98,6 @@ class Cpu {
   /// Steps consumed by the last run() call (faulting and injected-skip
   /// steps count; kernel::Machine uses this for exact budget accounting).
   [[nodiscard]] u64 last_run_steps() const noexcept { return last_run_steps_; }
-
-  [[nodiscard]] DispatchMode dispatch() const noexcept { return dispatch_; }
-  void set_dispatch(DispatchMode mode) noexcept { dispatch_ = mode; }
 
   [[nodiscard]] RunState state() const noexcept { return state_; }
   [[nodiscard]] const Fault& fault() const noexcept { return fault_; }
@@ -176,7 +169,6 @@ class Cpu {
   bool apply_injection();
 
   void raise(FaultKind kind, u64 addr) noexcept;
-  void execute(const Instruction& instr);
   /// Tight decoded-dispatch loop (preconditions checked by run()). Returns
   /// the number of steps consumed.
   u64 run_fast(u64 max_steps);
@@ -198,7 +190,6 @@ class Cpu {
   AddressSpace* memory_;
   const pa::PointerAuth* pauth_;
   std::shared_ptr<const DecodedProgram> decoded_;
-  DispatchMode dispatch_ = DispatchMode::kDecoded;
   obs::TaskChannel* obs_ = nullptr;
   inject::TaskInjector* inject_ = nullptr;
 

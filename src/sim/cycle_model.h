@@ -11,7 +11,7 @@
 //
 // We therefore default to the effective model (pa = 1) so the scheme
 // ordering matches the paper's measurements, and provide the raw in-order
-// latency model (pa = 4) for the sensitivity ablation in bench_micro_pa.
+// latency model (pa = 4) for the sensitivity ablation in bench_ablation.
 #pragma once
 
 #include "common/types.h"

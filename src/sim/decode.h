@@ -3,11 +3,11 @@
 // A DecodedProgram is built once per Program: each instruction slot holds
 // the resolved op handler (a function pointer — the dispatch table replaces
 // the per-step `switch (op)`), a copy of the operands, and the retire
-// metadata (obs instruction class / control-flow kind) that the interpreter
-// used to recompute on every step. The stream is immutable after build and
-// shared (`shared_ptr<const DecodedProgram>`) across every Cpu, kernel
-// Machine and CoW fork executing the same Program — decode cost is paid
-// once per image, not once per instruction executed. See docs/simulator.md.
+// metadata (obs instruction class / control-flow kind), so no step
+// re-decodes. The stream is immutable after build and shared
+// (`shared_ptr<const DecodedProgram>`) across every Cpu, kernel Machine and
+// CoW fork executing the same Program — decode cost is paid once per image,
+// not once per instruction executed. See docs/simulator.md.
 #pragma once
 
 #include <memory>
@@ -30,6 +30,8 @@ struct DecodedInstr {
   Instruction instr{};
   obs::InstrClass klass = obs::InstrClass::kOther;
   obs::CtlFlow ctl = obs::CtlFlow::kNone;
+
+  bool operator==(const DecodedInstr&) const = default;
 };
 
 class DecodedProgram {
@@ -39,8 +41,7 @@ class DecodedProgram {
   [[nodiscard]] static std::shared_ptr<const DecodedProgram> build(
       const Program& program);
 
-  /// Decode a single instruction (the interpreter path uses this per step;
-  /// it is the one-slot equivalent of build()).
+  /// Decode a single instruction: the one-slot equivalent of build().
   [[nodiscard]] static DecodedInstr decode(const Instruction& instr) noexcept;
 
   [[nodiscard]] u64 base() const noexcept { return base_; }

@@ -100,6 +100,8 @@ struct Instruction {
   u64 target = 0;
   Cond cond = Cond::kEq;
   AddrMode mode = AddrMode::kOffset;
+
+  bool operator==(const Instruction&) const = default;
 };
 
 /// Bytes of address space per instruction (as on AArch64).

@@ -904,8 +904,18 @@ TopologyResult run_topology_simulation(compiler::Scheme scheme,
     for (const auto& [cause, count] : result.drops) {
       topo.add("topo.drop." + std::string(cause), count);
     }
+    // The timeline channels carry only spans and gauge samples: no machine
+    // is attached to them, so their sim/pa/chain/kernel/fleet counters and
+    // depth histograms would read 0.
+    const obs::Metrics channels = timeline.metrics();
+    for (const char* name :
+         {"obs.span.begin", "obs.span.instant", "obs.gauge.sample"}) {
+      topo.add(name, channels.counter(name));
+    }
+    if (config.trace) {
+      topo.add("obs.trace.dropped", channels.counter("obs.trace.dropped"));
+    }
     result.metrics.merge(topo);
-    result.metrics.merge(timeline.metrics());
     result.metrics.merge(gauge_metrics);
   }
   if (config.trace) {

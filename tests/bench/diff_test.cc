@@ -76,9 +76,9 @@ TEST(BenchDiff, MissingBaselineKeyIsAlwaysARegression) {
 
 TEST(BenchDiff, AddedKeysAndHostTimingAreNotRegressions) {
   const auto result = diff_documents(
-      parse(R"({"wall_seconds": 1.0, "threads": 8, "sim": {"speedup": 9}})"),
+      parse(R"({"wall_seconds": 1.0, "threads": 8, "obs": {"threads": 8}})"),
       parse(
-          R"({"wall_seconds": 99.0, "threads": 1, "sim": {"speedup": 2}, "new_key": 5})"),
+          R"({"wall_seconds": 99.0, "threads": 1, "obs": {"threads": 1}, "new_key": 5})"),
       DiffOptions{.threshold = 0.10});
   EXPECT_TRUE(result.ok());
   EXPECT_EQ(result.compared, 0U);

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "compiler/scheme.h"
+#include "kernel/machine.h"
 #include "kernel/syscalls.h"
 #include "sim/disasm.h"
 #include "sim/isa.h"
@@ -314,6 +315,32 @@ TEST(Codegen, PacStackEpilogueGoldenText) {
       "ret",
   };
   EXPECT_EQ(epilogue, expected);
+}
+
+// E10: the simulated cycles each scheme's instrumentation adds per call,
+// the constant the Figure 5 overheads are built from (Section 7). driver
+// calls mid 1000 times and mid calls leaf once: the 1001 activations of
+// the non-leaf functions (mid and driver) are instrumented, leaf is not.
+TEST(Codegen, PerCallInstrumentationCycles) {
+  IrBuilder builder;
+  const auto leaf = builder.begin_function("leaf");
+  builder.compute(1);
+  const auto mid = builder.begin_function("mid");
+  builder.call(leaf);
+  const auto driver = builder.begin_function("driver");
+  builder.call(mid, 1000);
+  const auto ir = builder.build(driver);
+  const auto cycles = [&](Scheme scheme) {
+    const Program program = compile_ir(ir, {.scheme = scheme});
+    kernel::Machine machine(program);
+    machine.run();
+    return machine.init_process().cycles();
+  };
+  const u64 base = cycles(Scheme::kNone);
+  EXPECT_EQ(cycles(Scheme::kPacStack) - base, 15U * 1001);
+  EXPECT_EQ(cycles(Scheme::kPacStackNoMask) - base, 7U * 1001);
+  EXPECT_EQ(cycles(Scheme::kShadowStack) - base, 4U * 1001);
+  EXPECT_EQ(cycles(Scheme::kPacRet) - base, 2U * 1001);
 }
 
 TEST(Codegen, SchemeNamesRoundTrip) {

@@ -1,7 +1,8 @@
 // Lazy plans and fast-path delivery are optimisations only: a lazily drawn
 // plan delivers exactly the faults of its eager make_plan twin, and a hart
 // that runs Cpu::run_fast between due windows ends every scheduling call in
-// exactly the state the per-step reference path (kInterpreter) reaches.
+// exactly the state the per-step reference path (step() for every
+// instruction, which an attached trace ring selects) reaches.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -10,6 +11,7 @@
 
 #include "common/rng.h"
 #include "compiler/codegen.h"
+#include "compiler/ir.h"
 #include "inject/engine.h"
 #include "inject/plan.h"
 #include "kernel/machine.h"
@@ -134,20 +136,22 @@ struct Checkpoint {
   u64 call_depth = 0;
   sim::RunState state = sim::RunState::kReady;
   kernel::ProcessState process = kernel::ProcessState::kLive;
+  std::vector<u64> output;
   Summary summary;
 };
 
 /// Runs `program` in small Machine::run calls (odd budget and time slice,
 /// so slice ends land everywhere relative to fault windows) and records
-/// the hart after every call.
+/// the hart after every call. `reference` attaches a trace ring, which
+/// makes every hart step() each instruction.
 std::vector<Checkpoint> run_checkpoints(const sim::Program& program,
-                                        Engine::Config config,
-                                        sim::DispatchMode dispatch) {
+                                        Engine::Config config, u64 seed,
+                                        bool reference) {
   Engine engine(std::move(config));
   MachineOptions options;
-  options.seed = 7;
+  options.seed = seed;
   options.injector = &engine;
-  options.dispatch = dispatch;
+  options.trace_depth = reference ? 1 : 0;
   options.time_slice = 13;
   Machine machine(program, options);
   std::vector<Checkpoint> out;
@@ -157,21 +161,19 @@ std::vector<Checkpoint> run_checkpoints(const sim::Program& program,
     const sim::Cpu& cpu = process.tasks.front()->cpu();
     out.push_back({cpu.snapshot(), cpu.cycles(), cpu.instructions(),
                    cpu.last_run_steps(), cpu.call_depth(), cpu.state(),
-                   process.state, engine.summary()});
+                   process.state, process.output, engine.summary()});
     if (stop.reason == StopReason::kAllDone) break;
   }
   return out;
 }
 
-/// The fast path (kDecoded: run_fast between due windows) against the
-/// per-step reference (kInterpreter: step() every instruction). Returns
-/// the faults delivered, so callers can check the plan was not vacuous.
+/// The fast path (run_fast between due windows) against the per-step
+/// reference (step() every instruction). Returns the faults delivered, so
+/// callers can check the plan was not vacuous.
 u64 expect_fast_matches_step(const sim::Program& program,
-                             const Engine::Config& config) {
-  const auto fast =
-      run_checkpoints(program, config, sim::DispatchMode::kDecoded);
-  const auto ref =
-      run_checkpoints(program, config, sim::DispatchMode::kInterpreter);
+                             const Engine::Config& config, u64 seed = 7) {
+  const auto fast = run_checkpoints(program, config, seed, false);
+  const auto ref = run_checkpoints(program, config, seed, true);
   EXPECT_EQ(fast.size(), ref.size());
   for (std::size_t i = 0; i < std::min(fast.size(), ref.size()); ++i) {
     const Checkpoint& a = fast[i];
@@ -188,6 +190,7 @@ u64 expect_fast_matches_step(const sim::Program& program,
     EXPECT_EQ(a.call_depth, b.call_depth) << "call " << i;
     EXPECT_EQ(a.state, b.state) << "call " << i;
     EXPECT_EQ(a.process, b.process) << "call " << i;
+    EXPECT_EQ(a.output, b.output) << "call " << i;
     EXPECT_EQ(a.summary.injected, b.summary.injected) << "call " << i;
     EXPECT_EQ(a.summary.guess_attempts, b.summary.guess_attempts);
     EXPECT_EQ(a.summary.guess_successes, b.summary.guess_successes);
@@ -202,12 +205,41 @@ sim::Program pacstack_worker() {
   return compiler::compile_ir(ir, {.scheme = compiler::Scheme::kPacStack});
 }
 
+/// A 3-deep PA-instrumented call tree with locals and output: bl/ret,
+/// pacia/autia and loads/stores dominate, as in the kernel model's workers.
+sim::Program pacstack_call_tree() {
+  compiler::IrBuilder b;
+  const auto leaf = b.begin_function("leaf");
+  b.compute(4);
+  const auto mid = b.begin_function("mid", 32);
+  b.store_local(0, 7);
+  b.call(leaf, 8);
+  b.load_local(0);
+  const auto outer = b.begin_function("outer");
+  b.call(mid, 8);
+  const auto entry = b.begin_function("entry");
+  b.call(outer, 60);
+  b.write_int(4242);
+  return compiler::compile_ir(b.build(entry),
+                              {.scheme = compiler::Scheme::kPacStack});
+}
+
 /// A CPU-level fault that is delivered but changes nothing: a store to
 /// unmapped address 0 is dropped. Lets a plan carry several faults without
 /// the first one killing the worker.
 PlannedFault harmless_at(u64 at_instr, u64 min_depth = 0) {
   return {.at_instr = at_instr, .min_depth = min_depth,
           .kind = FaultKind::kStoreWord};
+}
+
+TEST(FastPathDelivery, CallTreeWithoutFaults) {
+  // An attached engine that plans nothing: run_fast covers every
+  // instruction. Each machine seed draws different keys and canary.
+  const sim::Program program = pacstack_call_tree();
+  for (u64 seed = 1; seed <= 8; ++seed) {
+    EXPECT_EQ(expect_fast_matches_step(program, {}, seed), 0U);
+    if (HasFailure()) return;
+  }
 }
 
 TEST(FastPathDelivery, CountTriggeredFaults) {

@@ -6,8 +6,11 @@
 #include <ostream>
 
 #include "common/rng.h"
+#include "compiler/codegen.h"
+#include "compiler/scheme.h"
 #include "obs/recorder.h"
 #include "sim/assembler.h"
+#include "workload/spec_suite.h"
 
 namespace acs::sim {
 namespace {
@@ -576,17 +579,40 @@ TEST(Cpu, TraceBeforeWrapIsPartial) {
   EXPECT_EQ(trace[0], kCodeBase);
 }
 
-/// Run the same program under both dispatch modes and require bitwise
-/// identical architectural results: register file, flags, PC, state,
-/// fault, cycles and instruction count. The decoded fast path must be an
-/// optimisation only. `observed` attaches a metrics recorder to each side
-/// and requires identical metrics too (retire counts, call-depth histogram).
+// An attached trace ring routes Cpu::run through step() for every
+// instruction and changes no architectural state: that is how the tests
+// below reach the per-step reference path.
+TEST(Cpu, TraceRingRoutesRunThroughStep) {
+  CpuHarness h([](Assembler& as) {
+    as.mov_imm(Reg::kX0, 5);
+    as.label("loop");
+    as.bl("fn");
+    as.sub_imm(Reg::kX0, Reg::kX0, 1);
+    as.cbnz(Reg::kX0, "loop");
+    as.hlt();
+    as.function("fn");
+    as.pacia(kLr, Reg::kSp);
+    as.autia(kLr, Reg::kSp);
+    as.ret();
+  });
+  h.cpu().enable_trace(64);  // deeper than the 32-instruction run
+  EXPECT_EQ(h.cpu().run(), RunState::kHalted);
+  EXPECT_EQ(h.cpu().instructions(), 32U);
+  EXPECT_EQ(h.cpu().trace().size(), h.cpu().instructions());
+}
+
+/// Run the same program on run_fast and on the per-step reference (step()
+/// for every instruction, via a trace ring) and require bitwise identical
+/// architectural results: register file, flags, PC, state, fault, cycles
+/// and instruction count. The fast path must be an optimisation only.
+/// `observed` attaches a metrics recorder to each side and requires
+/// identical metrics too (retire counts, call-depth histogram).
 void expect_dispatch_equivalence(const std::function<void(Assembler&)>& body,
                                  u64 max_steps = 100'000'000,
                                  bool observed = false) {
   CpuHarness fast(body);
   CpuHarness ref(body);
-  ref.cpu().set_dispatch(DispatchMode::kInterpreter);
+  ref.cpu().enable_trace(1);
   obs::Recorder fast_rec;
   obs::Recorder ref_rec;
   if (observed) {
@@ -736,6 +762,29 @@ TEST(Cpu, DispatchModesAgreeOnBudgetExhaustion) {
         as.hlt();
       },
       /*max_steps=*/7);
+}
+
+// step() and run_fast both read the shared decoded stream, so the
+// equivalence tests above cannot catch a wrong slot in it: every slot
+// build() makes for the Figure 5 programs (C and C++ suites) must equal a
+// fresh decode().
+TEST(DecodedProgram, StreamMatchesPerInstructionDecode) {
+  for (const auto* suite :
+       {&workload::spec_suite(), &workload::spec_cpp_suite()}) {
+    for (const auto& bench : *suite) {
+      const auto ir = workload::make_spec_ir(bench);
+      for (const compiler::Scheme scheme : compiler::all_schemes()) {
+        const Program program = compiler::compile_ir(ir, {.scheme = scheme});
+        const auto decoded = DecodedProgram::build(program);
+        ASSERT_EQ(decoded->size_bytes(), program.size_bytes());
+        for (u64 pc = program.base; pc < program.end(); pc += kInstrBytes) {
+          ASSERT_EQ(decoded->at(pc), DecodedProgram::decode(program.at(pc)))
+              << bench.name << " " << compiler::scheme_name(scheme)
+              << " pc " << pc;
+        }
+      }
+    }
+  }
 }
 
 TEST(Cpu, StepsExhaustedDistinguishesTimeoutFromStop) {

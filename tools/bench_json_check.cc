@@ -170,35 +170,6 @@ std::string check_fuzz_section(const Value& fuzz) {
   return {};
 }
 
-/// Validate the optional "sim" section (simulator throughput totals, see
-/// docs/bench-output.md and docs/simulator.md): numeric counters and
-/// rates, plus a hex-string "equivalence_fingerprint".
-std::string check_sim_section(const Value& sim) {
-  const Object* top = sim.object();
-  if (top == nullptr) return "'sim' is not an object";
-
-  for (const char* key :
-       {"instructions", "ips_interpreter", "ips_decoded", "speedup",
-        "forks_per_sec", "cow_private_pages", "equivalence_runs"}) {
-    const Value* v = find(*top, key);
-    if (v == nullptr || !v->is_number()) {
-      return std::string("'sim.") + key + "' missing or not a number";
-    }
-  }
-
-  const Value* fingerprint = find(*top, "equivalence_fingerprint");
-  if (fingerprint == nullptr || !fingerprint->is_string()) {
-    return "'sim.equivalence_fingerprint' missing or not a string";
-  }
-  const std::string& fp = std::get<std::string>(fingerprint->data);
-  if (fp.size() != 18 || fp.compare(0, 2, "0x") != 0 ||
-      fp.find_first_not_of("0123456789abcdef", 2) != std::string::npos) {
-    return "'sim.equivalence_fingerprint' is not an 0x-prefixed 64-bit hex "
-           "string";
-  }
-  return {};
-}
-
 /// Validate the optional "lint" section (static-verifier totals, see
 /// docs/bench-output.md): numeric counters plus {code: number} /
 /// {function: number} breakdown maps. Replayed witness verdicts must add
@@ -510,11 +481,6 @@ std::string check_schema(const Value& root) {
 
   if (const Value* fuzz = find(*top, "fuzz")) {
     std::string error = check_fuzz_section(*fuzz);
-    if (!error.empty()) return error;
-  }
-
-  if (const Value* sim = find(*top, "sim")) {
-    std::string error = check_sim_section(*sim);
     if (!error.empty()) return error;
   }
 
