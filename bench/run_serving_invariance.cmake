@@ -1,8 +1,9 @@
 # Pins the thread-invariance determinism contract shared by the campaign
 # benches (bench_fault_availability, bench_serving_tail,
-# bench_serving_topology, bench_kernel_sweep): the JSON trajectory —
-# including every deterministic section ("obs", "faults", "topology",
-# "kernels") — must be bitwise identical for --threads 1, 2 and 8. Only
+# bench_serving_topology, bench_kernel_sweep, bench_table1_security): the
+# JSON trajectory — the "metrics" array and every deterministic section
+# ("obs", "faults", "topology", "kernels") — must be bitwise identical for
+# --threads 1, 2 and 8. Only
 # host timing (wall_seconds) and the echoed thread count may differ, so
 # both lines are stripped before comparing.
 #

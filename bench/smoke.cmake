@@ -95,6 +95,21 @@ add_test(NAME bench_topology_invariance
 set_tests_properties(bench_topology_invariance PROPERTIES
                      LABELS "bench_smoke" TIMEOUT 600)
 
+# Exact pin for Table 1 and the Appendix A games: every Monte-Carlo rate
+# in the smoke trajectory must be bitwise identical at --threads 1/2/8 and
+# equal the checked-in reference, so a change to how a campaign computes
+# its MACs cannot move a single success.
+add_test(NAME bench_table1_invariance
+         COMMAND ${CMAKE_COMMAND}
+                 -DBENCH=$<TARGET_FILE:bench_table1_security>
+                 -DJSON_DIR=${CMAKE_CURRENT_BINARY_DIR}
+                 -DPREFIX=table1
+                 -DDIFF=$<TARGET_FILE:acs-bench-diff>
+                 -DREFERENCE=${CMAKE_CURRENT_SOURCE_DIR}/reference/BENCH_table1_security_smoke.json
+                 -P ${CMAKE_CURRENT_SOURCE_DIR}/run_serving_invariance.cmake)
+set_tests_properties(bench_table1_invariance PROPERTIES
+                     LABELS "bench_smoke" TIMEOUT 600)
+
 # acs-run emits the same schema through its own flag parser.
 add_test(NAME bench_smoke_acs_run
          COMMAND ${CMAKE_COMMAND}
