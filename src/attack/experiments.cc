@@ -1,6 +1,7 @@
 #include "attack/experiments.h"
 
 #include <cmath>
+#include <stdexcept>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -32,7 +33,58 @@ namespace {
 }
 
 [[nodiscard]] MonteCarloResult to_result(const exec::TrialAccumulator& acc) {
-  return {.trials = acc.trials(), .successes = acc.successes()};
+  return {.trials = acc.trials(),
+          .successes = acc.successes(),
+          .chain_ops = acc.ops()};
+}
+
+/// The random inputs of one harvested path: its predecessor prev_j is the
+/// aret chaining `ret` over `nonce`.
+struct PathInput {
+  u64 nonce = 0;
+  u64 ret = 0;
+};
+
+/// Draws `harvest` paths' inputs in the campaigns' fixed RNG order: each
+/// path's nonce, then its return address.
+[[nodiscard]] std::vector<PathInput> draw_paths(const pa::VaLayout& layout,
+                                                Rng& rng, u64 harvest) {
+  std::vector<PathInput> paths(harvest);
+  for (PathInput& path : paths) {
+    path.nonce = rng.next();
+    path.ret = random_code_address(layout, rng);
+  }
+  return paths;
+}
+
+/// The collision search of the unmasked and deep-harvest attacks. Walks
+/// the paths in order, MACing path j's predecessor and observed aret only
+/// when the walk reaches it, and stops at the first exploitable collision:
+/// `key(observed_j)` equals the key of the first earlier path holding it,
+/// that path's predecessor differs from prev_j, and prev_j verifies under
+/// that path's observed aret. `ops` counts the chain operations made.
+template <typename Key>
+[[nodiscard]] bool first_exploitable_collision(
+    const core::AcsChain& chain, u64 ret_c, const std::vector<PathInput>& paths,
+    Key key, u64& ops) {
+  struct Harvested {
+    u64 prev;
+    u64 observed;
+  };
+  std::unordered_map<u64, Harvested> first;
+  first.reserve(paths.size());
+  for (const PathInput& path : paths) {
+    const u64 prev = chain.compute_aret(path.ret, path.nonce);
+    const u64 observed = chain.compute_aret(ret_c, prev);
+    ops += 2;
+    const auto [it, inserted] =
+        first.try_emplace(key(observed), Harvested{prev, observed});
+    if (!inserted && it->second.prev != prev) {
+      ++ops;
+      if (chain.verify(it->second.observed, prev)) return true;
+    }
+  }
+  return false;
 }
 
 /// Mean/stddev over per-trial counts (sample stddev, n-1 denominator),
@@ -60,6 +112,11 @@ namespace {
 
 MonteCarloResult on_graph_attack(unsigned b, bool masking, u64 harvest,
                                  u64 trials, u64 seed, unsigned threads) {
+  if (masking && harvest < 2) {
+    throw std::invalid_argument(
+        "on_graph_attack: a masked campaign needs harvest >= 2 (the live "
+        "path plus one substitute)");
+  }
   Rng setup_rng(seed);
   const auto pauth = make_pauth(b, setup_rng);
   const core::AcsChain chain{pauth, masking};
@@ -71,42 +128,36 @@ MonteCarloResult on_graph_attack(unsigned b, bool masking, u64 harvest,
         Rng rng(trial_seed);
         // `harvest` distinct execution paths arriving at the victim call
         // site with return address ret_c; the adversary sees the aret the
-        // callee stores for each path (observed[j] = aret chaining ret_c
+        // callee stores for each path (observed_j = aret chaining ret_c
         // onto prev_j).
         const u64 ret_c = random_code_address(layout, rng);
-        std::vector<u64> prevs;
-        std::vector<u64> observed;
-        prevs.reserve(harvest);
-        observed.reserve(harvest);
-        for (u64 j = 0; j < harvest; ++j) {
-          const u64 prev = chain.compute_aret(random_code_address(layout, rng),
-                                              rng.next());
-          prevs.push_back(prev);
-          observed.push_back(chain.compute_aret(ret_c, prev));
-        }
+        const auto paths = draw_paths(layout, rng, harvest);
+        u64 ops = 0;
         bool success = false;
         if (!masking) {
           // Unmasked auth tokens are directly comparable: find ANY colliding
           // pair (i, j), then steer execution down path i and substitute
           // prev_j for prev_i on the stack. By Eq. (1) the substitution
           // always verifies.
-          std::unordered_map<u64, u64> tag_to_index;
-          tag_to_index.reserve(harvest);
-          for (u64 j = 0; j < harvest && !success; ++j) {
-            const u64 tag = layout.pac_field(observed[j]);
-            const auto [it, inserted] = tag_to_index.try_emplace(tag, j);
-            if (!inserted && prevs[it->second] != prevs[j]) {
-              success = chain.verify(observed[it->second], prevs[j]);
-            }
-          }
+          success = first_exploitable_collision(
+              chain, ret_c, paths,
+              [&](u64 observed) { return layout.pac_field(observed); }, ops);
         } else {
           // Masked tokens are indistinguishable (Theorem 1): the best
           // available strategy is substituting a uniformly chosen harvested
-          // predecessor under the live path (path 0).
+          // predecessor under the live path (path 0). Only paths 0 and j
+          // are ever read, so only they are MACed.
           const u64 j = 1 + rng.next_below(harvest - 1);
-          success = prevs[j] != prevs[0] && chain.verify(observed[0], prevs[j]);
+          const u64 prev_0 = chain.compute_aret(paths[0].ret, paths[0].nonce);
+          const u64 prev_j = chain.compute_aret(paths[j].ret, paths[j].nonce);
+          ops = 2;
+          if (prev_j != prev_0) {
+            ops += 2;
+            success = chain.verify(chain.compute_aret(ret_c, prev_0), prev_j);
+          }
         }
         acc.add_outcome(success);
+        acc.add_ops(ops);
       },
       threads);
   return to_result(merged);
@@ -125,32 +176,16 @@ MonteCarloResult on_graph_attack_deep_harvest(unsigned b, u64 harvest,
       [&](u64, u64 trial_seed, exec::TrialAccumulator& acc) {
         Rng rng(trial_seed);
         const u64 ret_c = random_code_address(layout, rng);
-        std::vector<u64> prevs;
-        std::vector<u64> deep_observed;
-        prevs.reserve(harvest);
-        deep_observed.reserve(harvest);
-        for (u64 j = 0; j < harvest; ++j) {
-          // prev_j: the victim's stored predecessor along path j (level n).
-          const u64 prev = chain.compute_aret(random_code_address(layout, rng),
-                                              rng.next());
-          prevs.push_back(prev);
-          // deep_observed_j: the chain-register value chaining ret_C over
-          // prev_j — i.e. the *masked token* — which lands on the stack at
-          // level n+1 when the callee calls deeper.
-          deep_observed.push_back(chain.compute_aret(ret_c, prev));
-        }
-        // The masked tokens are directly comparable as stored words: any
-        // full-value collision between distinct paths is exploitable.
-        bool success = false;
-        std::unordered_map<u64, u64> seen;
-        seen.reserve(harvest);
-        for (u64 j = 0; j < harvest && !success; ++j) {
-          const auto [it, inserted] = seen.try_emplace(deep_observed[j], j);
-          if (!inserted && prevs[it->second] != prevs[j]) {
-            success = chain.verify(deep_observed[it->second], prevs[j]);
-          }
-        }
-        acc.add_outcome(success);
+        const auto paths = draw_paths(layout, rng, harvest);
+        // observed_j is the chain-register value chaining ret_C over
+        // prev_j — i.e. the *masked token* — which lands on the stack at
+        // level n+1 when the callee calls deeper. The masked tokens are
+        // directly comparable as stored words: any full-value collision
+        // between distinct paths is exploitable.
+        u64 ops = 0;
+        acc.add_outcome(first_exploitable_collision(
+            chain, ret_c, paths, [](u64 observed) { return observed; }, ops));
+        acc.add_ops(ops);
       },
       threads);
   return to_result(merged);
@@ -169,16 +204,20 @@ MonteCarloResult off_graph_to_call_site(unsigned b, bool masking, u64 trials,
         Rng rng(trial_seed);
         // Live state: CR authenticates ret_c over prev_a.
         const u64 ret_c = random_code_address(layout, rng);
-        const u64 prev_a = chain.compute_aret(random_code_address(layout, rng),
-                                              rng.next());
+        const u64 nonce_a = rng.next();
+        const u64 prev_a =
+            chain.compute_aret(random_code_address(layout, rng), nonce_a);
         const u64 cr = chain.compute_aret(ret_c, prev_a);
         // The adversary substitutes a *valid* aret_b harvested from an
         // unrelated chain; H(ret_c, aret_b) was never computed, so AG-Load
         // is a fresh 2^-b event. AG-Jump then succeeds for free (aret_b is
         // valid).
-        const u64 aret_b = chain.compute_aret(random_code_address(layout, rng),
-                                              rng.next());
-        acc.add_outcome(aret_b != prev_a && chain.verify(cr, aret_b));
+        const u64 nonce_b = rng.next();
+        const u64 aret_b =
+            chain.compute_aret(random_code_address(layout, rng), nonce_b);
+        const bool differs = aret_b != prev_a;
+        acc.add_outcome(differs && chain.verify(cr, aret_b));
+        acc.add_ops(differs ? 4 : 3);
       },
       threads);
   return to_result(merged);
@@ -196,8 +235,9 @@ MonteCarloResult off_graph_arbitrary(unsigned b, bool masking, u64 trials,
       [&](u64, u64 trial_seed, exec::TrialAccumulator& acc) {
         Rng rng(trial_seed);
         const u64 ret_c = random_code_address(layout, rng);
-        const u64 prev_a = chain.compute_aret(random_code_address(layout, rng),
-                                              rng.next());
+        const u64 nonce_a = rng.next();
+        const u64 prev_a =
+            chain.compute_aret(random_code_address(layout, rng), nonce_a);
         const u64 cr = chain.compute_aret(ret_c, prev_a);
         // Fully fabricated aret_b: attacker-chosen target address and a
         // guessed auth token — plus a fabricated predecessor for the
@@ -208,8 +248,9 @@ MonteCarloResult off_graph_arbitrary(unsigned b, bool masking, u64 trials,
         const u64 prev_b = rng.next();
         // AG-Load: the loader's verification must accept aret_b.
         // AG-Jump: returning through aret_b must verify against prev_b.
-        acc.add_outcome(chain.verify(cr, aret_b) &&
-                        chain.verify(aret_b, prev_b));
+        const bool loaded = chain.verify(cr, aret_b);
+        acc.add_outcome(loaded && chain.verify(aret_b, prev_b));
+        acc.add_ops(loaded ? 4 : 3);
       },
       threads);
   return to_result(merged);

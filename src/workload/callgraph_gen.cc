@@ -11,7 +11,10 @@ compiler::ProgramIr make_random_ir(Rng& rng, const CallGraphParams& params) {
     builder.begin_function("rg$f" + std::to_string(i),
                            buffered ? 32 + 16 * rng.next_below(4) : 0);
     builder.compute(1 + rng.next_below(params.max_compute));
-    if (buffered) builder.store_local(8 * rng.next_below(4), rng.next());
+    if (buffered) {
+      const u64 value = rng.next();  // drawn before the slot offset
+      builder.store_local(8 * rng.next_below(4), value);
+    }
 
     if (i > 0) {
       // 1-3 call sites into strictly lower-indexed functions (acyclic).

@@ -3,9 +3,18 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <stdexcept>
+#include <unordered_map>
+#include <vector>
 
+#include "common/rng.h"
 #include "common/stats.h"
 #include "core/analysis.h"
+#include "core/chain.h"
+#include "crypto/keys.h"
+#include "exec/parallel.h"
+#include "pa/pointer_auth.h"
+#include "pa/va_layout.h"
 
 namespace acs::attack {
 namespace {
@@ -120,6 +129,167 @@ TEST(Experiments, DeterministicPerSeed) {
   const auto a = on_graph_attack(8, true, 40, 10'000, 99);
   const auto b = on_graph_attack(8, true, 40, 10'000, 99);
   EXPECT_EQ(a.successes, b.successes);
+}
+
+// --- lazy MACs against the eager campaigns ---------------------------------
+
+/// on_graph_attack and on_graph_attack_deep_harvest as they stood before
+/// they MACed lazily, kept as the oracle: every path's predecessor and
+/// observed aret are MACed before any decision. The two draws of a
+/// predecessor were one argument list, `compute_aret(random_code_address(
+/// layout, rng), rng.next())`, which GCC 12 evaluates right to left; they
+/// are named here in that order (nonce, then address). `chain_ops` counts
+/// every compute_aret and verify call.
+MonteCarloResult eager_on_graph(unsigned b, bool masking, bool deep,
+                                u64 harvest, u64 trials, u64 seed) {
+  Rng setup_rng(seed);
+  const pa::PointerAuth pauth{crypto::random_key_set(setup_rng),
+                              pa::VaLayout{55U - b}};
+  const core::AcsChain chain{pauth, masking || deep};
+  const auto& layout = pauth.layout();
+  const auto address = [&](Rng& rng) {
+    return layout.address_bits(rng.next()) | 0x1000;
+  };
+
+  const auto merged = exec::parallel_trials(
+      trials, seed,
+      [&](u64, u64 trial_seed, exec::TrialAccumulator& acc) {
+        Rng rng(trial_seed);
+        const u64 ret_c = address(rng);
+        std::vector<u64> prevs;
+        std::vector<u64> observed;
+        u64 ops = 0;
+        for (u64 j = 0; j < harvest; ++j) {
+          const u64 nonce = rng.next();
+          const u64 prev = chain.compute_aret(address(rng), nonce);
+          prevs.push_back(prev);
+          observed.push_back(chain.compute_aret(ret_c, prev));
+          ops += 2;
+        }
+        bool success = false;
+        if (!masking || deep) {
+          std::unordered_map<u64, u64> first_index;
+          for (u64 j = 0; j < harvest && !success; ++j) {
+            const u64 key = deep ? observed[j] : layout.pac_field(observed[j]);
+            const auto [it, inserted] = first_index.try_emplace(key, j);
+            if (!inserted && prevs[it->second] != prevs[j]) {
+              ++ops;
+              success = chain.verify(observed[it->second], prevs[j]);
+            }
+          }
+        } else {
+          const u64 j = 1 + rng.next_below(harvest - 1);
+          success = prevs[j] != prevs[0];
+          if (success) {
+            ++ops;
+            success = chain.verify(observed[0], prevs[j]);
+          }
+        }
+        acc.add_outcome(success);
+        acc.add_ops(ops);
+      },
+      1);
+  return {.trials = merged.trials(),
+          .successes = merged.successes(),
+          .chain_ops = merged.ops()};
+}
+
+TEST(Experiments, LazyOnGraphMatchesEagerOracle) {
+  constexpr u64 kTrials = 256;
+  for (const unsigned b : {4U, 6U, 8U, 12U}) {
+    for (const u64 harvest : {2ULL, 3ULL, 40ULL, 80ULL, 320ULL}) {
+      for (u64 s = 0; s < 8; ++s) {
+        const u64 seed = kSeed + 1000 * b + 10 * harvest + s;
+        const auto masked =
+            eager_on_graph(b, true, false, harvest, kTrials, seed);
+        const auto unmasked =
+            eager_on_graph(b, false, false, harvest, kTrials, seed);
+        const auto deep = eager_on_graph(b, true, true, harvest, kTrials, seed);
+        for (const unsigned threads : {1U, 2U}) {
+          SCOPED_TRACE(::testing::Message() << "b=" << b << " harvest="
+                                            << harvest << " seed=" << seed
+                                            << " threads=" << threads);
+          const auto lazy_masked =
+              on_graph_attack(b, true, harvest, kTrials, seed, threads);
+          EXPECT_EQ(lazy_masked.trials, kTrials);
+          EXPECT_EQ(lazy_masked.successes, masked.successes);
+          EXPECT_EQ(on_graph_attack(b, false, harvest, kTrials, seed, threads)
+                        .successes,
+                    unmasked.successes);
+          EXPECT_EQ(on_graph_attack_deep_harvest(b, harvest, kTrials, seed,
+                                                 threads)
+                        .successes,
+                    deep.successes);
+        }
+      }
+    }
+  }
+}
+
+TEST(Experiments, MaskedOnGraphRejectsHarvestBelowTwo) {
+  // A masked trial substitutes path j in [1, harvest): with fewer than two
+  // paths there is nothing to substitute.
+  for (const u64 harvest : {0ULL, 1ULL}) {
+    EXPECT_THROW((void)on_graph_attack(8, true, harvest, 10, kSeed),
+                 std::invalid_argument)
+        << "harvest=" << harvest;
+  }
+}
+
+TEST(Experiments, CollisionSearchesAcceptTinyHarvest) {
+  // Fewer than two paths cannot collide: every trial fails, and only the
+  // harvested paths are MACed.
+  for (const u64 harvest : {0ULL, 1ULL}) {
+    const auto unmasked = on_graph_attack(8, false, harvest, 100, kSeed);
+    EXPECT_EQ(unmasked.trials, 100U);
+    EXPECT_EQ(unmasked.successes, 0U);
+    EXPECT_EQ(unmasked.chain_ops, 2 * harvest * 100);
+    const auto deep = on_graph_attack_deep_harvest(8, harvest, 100, kSeed);
+    EXPECT_EQ(deep.trials, 100U);
+    EXPECT_EQ(deep.successes, 0U);
+    EXPECT_EQ(deep.chain_ops, 2 * harvest * 100);
+  }
+}
+
+TEST(Experiments, ChainOpsCountTheMacsATrialReads) {
+  constexpr u64 kTrials = 2000;
+  constexpr u64 kHarvest = 80;
+  const auto masked = on_graph_attack(8, true, kHarvest, kTrials, kSeed, 1);
+  EXPECT_LE(masked.chain_ops, 4 * kTrials);
+  EXPECT_GE(masked.chain_ops, 2 * kTrials);
+  EXPECT_EQ(on_graph_attack(8, true, kHarvest, kTrials, kSeed, 2).chain_ops,
+            masked.chain_ops);
+  // The eager campaign MACed every path and verified whenever prev_j
+  // differed from prev_0, which it always does here.
+  EXPECT_EQ(eager_on_graph(8, true, false, kHarvest, kTrials, kSeed).chain_ops,
+            (2 * kHarvest + 1) * kTrials);
+
+  // The collision searches stop at the first exploitable collision, so
+  // they never MAC more than the eager search did.
+  for (const bool deep : {false, true}) {
+    const auto lazy =
+        deep ? on_graph_attack_deep_harvest(8, kHarvest, kTrials, kSeed, 1)
+             : on_graph_attack(8, false, kHarvest, kTrials, kSeed, 1);
+    const auto lazy2 =
+        deep ? on_graph_attack_deep_harvest(8, kHarvest, kTrials, kSeed, 2)
+             : on_graph_attack(8, false, kHarvest, kTrials, kSeed, 2);
+    EXPECT_EQ(lazy2.chain_ops, lazy.chain_ops) << "deep=" << deep;
+    EXPECT_LT(lazy.chain_ops,
+              eager_on_graph(8, deep, deep, kHarvest, kTrials, kSeed).chain_ops)
+        << "deep=" << deep;
+  }
+
+  // Off-graph trials read every MAC they make: 3 or 4 chain ops each.
+  for (const bool masking : {false, true}) {
+    for (const auto& result :
+         {off_graph_to_call_site(8, masking, kTrials, kSeed, 1),
+          off_graph_arbitrary(8, masking, kTrials, kSeed, 1)}) {
+      EXPECT_GE(result.chain_ops, 3 * kTrials);
+      EXPECT_LE(result.chain_ops, 4 * kTrials);
+    }
+    EXPECT_EQ(off_graph_to_call_site(8, masking, kTrials, kSeed, 2).chain_ops,
+              off_graph_to_call_site(8, masking, kTrials, kSeed, 1).chain_ops);
+  }
 }
 
 }  // namespace
