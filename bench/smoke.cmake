@@ -42,24 +42,30 @@ endforeach()
 
 # Thread-invariance pin for the fault-injection campaign: the trajectory
 # (including the "faults" and "obs" sections) must be bitwise identical at
-# --threads 1, 2 and 8 once the wall_seconds line is stripped.
+# --threads 1, 2 and 8 once the wall_seconds line is stripped, and equal
+# the checked-in reference exactly.
 add_test(NAME bench_fault_invariance
          COMMAND ${CMAKE_COMMAND}
                  -DBENCH=$<TARGET_FILE:bench_fault_availability>
                  -DJSON_DIR=${CMAKE_CURRENT_BINARY_DIR}
                  -DPREFIX=fault
+                 -DDIFF=$<TARGET_FILE:acs-bench-diff>
+                 -DREFERENCE=${CMAKE_CURRENT_SOURCE_DIR}/reference/BENCH_fault_availability_smoke.json
                  -P ${CMAKE_CURRENT_SOURCE_DIR}/run_serving_invariance.cmake)
 set_tests_properties(bench_fault_invariance PROPERTIES
                      LABELS "bench_smoke" TIMEOUT 600)
 
 # Thread-invariance pin for the synthetic-kernel overhead sweep: the
 # "kernels" section is built from deterministic simulated cycle counts, so
-# the full trajectory must be bitwise identical at --threads 1, 2 and 8.
+# the full trajectory must be bitwise identical at --threads 1, 2 and 8
+# and equal the checked-in reference exactly.
 add_test(NAME bench_kernels_invariance
          COMMAND ${CMAKE_COMMAND}
                  -DBENCH=$<TARGET_FILE:bench_kernel_sweep>
                  -DJSON_DIR=${CMAKE_CURRENT_BINARY_DIR}
                  -DPREFIX=kernels
+                 -DDIFF=$<TARGET_FILE:acs-bench-diff>
+                 -DREFERENCE=${CMAKE_CURRENT_SOURCE_DIR}/reference/BENCH_kernel_sweep_smoke.json
                  -P ${CMAKE_CURRENT_SOURCE_DIR}/run_serving_invariance.cmake)
 set_tests_properties(bench_kernels_invariance PROPERTIES
                      LABELS "bench_smoke" TIMEOUT 600)
@@ -108,6 +114,20 @@ add_test(NAME bench_table1_invariance
                  -DREFERENCE=${CMAKE_CURRENT_SOURCE_DIR}/reference/BENCH_table1_security_smoke.json
                  -P ${CMAKE_CURRENT_SOURCE_DIR}/run_serving_invariance.cmake)
 set_tests_properties(bench_table1_invariance PROPERTIES
+                     LABELS "bench_smoke" TIMEOUT 600)
+
+# Exact pin for Table 3 (E4): TPS, sigma and the per-scheme obs counters
+# of the smoke trajectory must be bitwise identical at --threads 1/2/8 and
+# equal the checked-in reference.
+add_test(NAME bench_table3_invariance
+         COMMAND ${CMAKE_COMMAND}
+                 -DBENCH=$<TARGET_FILE:bench_table3_nginx>
+                 -DJSON_DIR=${CMAKE_CURRENT_BINARY_DIR}
+                 -DPREFIX=table3
+                 -DDIFF=$<TARGET_FILE:acs-bench-diff>
+                 -DREFERENCE=${CMAKE_CURRENT_SOURCE_DIR}/reference/BENCH_table3_nginx_smoke.json
+                 -P ${CMAKE_CURRENT_SOURCE_DIR}/run_serving_invariance.cmake)
+set_tests_properties(bench_table3_invariance PROPERTIES
                      LABELS "bench_smoke" TIMEOUT 600)
 
 # acs-run emits the same schema through its own flag parser.
