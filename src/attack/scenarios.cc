@@ -120,6 +120,17 @@ void run_ignoring_breakpoints(Adversary& adv) {
   }
 }
 
+/// Finish a victim whose control flow the adversary forged: a hijacked
+/// return can leave it spinning in attacker-chosen code, so each resume
+/// gets a tight budget and at most four breakpoint stops are skipped.
+void run_bounded(Adversary& adv) {
+  for (int i = 0; i < 4; ++i) {
+    if (adv.resume(2'000'000).reason != kernel::StopReason::kBreakpoint) {
+      return;
+    }
+  }
+}
+
 }  // namespace
 
 std::string outcome_name(AttackOutcome outcome) {
@@ -458,9 +469,7 @@ ScenarioResult run_unwind_corruption_attack(Scheme scheme, u64 seed) {
   }
   // A hijacked unwind can leave the victim spinning in attacker-controlled
   // code: bound the post-attack run tightly.
-  for (int i = 0; i < 4; ++i) {
-    if (adv.resume(2'000'000).reason != kernel::StopReason::kBreakpoint) break;
-  }
+  run_bounded(adv);
   return finish(process);
 }
 
@@ -709,11 +718,7 @@ MonteCarloResult run_offgraph_arbitrary_cpu(unsigned b, u64 trials, u64 seed) {
       adv.write(sp + 32, fake_b);
       adv.write(sp + 64, fake_prev);
     }
-    for (int i = 0; i < 4; ++i) {
-      if (adv.resume(2'000'000).reason != kernel::StopReason::kBreakpoint) {
-        break;
-      }
-    }
+    run_bounded(adv);
     // Full success: the payload ran (both gates passed).
     if (std::count(process.output.begin(), process.output.end(),
                    u64{kMarkEvil}) > 0) {
@@ -874,7 +879,9 @@ MonteCarloResult run_offgraph_guess_cpu(unsigned b, u64 trials, u64 seed) {
         adv.write(victim->addr, fake);
       }
     }
-    run_ignoring_breakpoints(adv);
+    // The outcome is decided right after B's forged return; a trial the
+    // forgery sends into a loop must not run on for 50M instructions.
+    run_bounded(adv);
     // AG-Load succeeded iff B's return verified against the fabricated
     // value — execution then reaches the write of kMarkB.
     if (std::count(process.output.begin(), process.output.end(), kMarkB) > 0) {
