@@ -11,6 +11,10 @@
 // a Perfetto-loadable event trace of one pacstack worker; --profile writes
 // folded cycle stacks for all three schemes, rooted at the scheme name so
 // the overhead decomposes by call site in a flamegraph diff.
+//
+// The workers are a fault-free worker fleet (workload/fleet.h) under the
+// default fail-fast policy: any crashed worker aborts the bench rather
+// than contributing to the TPS estimate.
 #include <cstdio>
 #include <iostream>
 #include <string>
@@ -19,7 +23,7 @@
 #include "common/table.h"
 #include "obs/metrics.h"
 #include "obs/profile.h"
-#include "workload/nginx_sim.h"
+#include "workload/fleet.h"
 
 int main(int argc, char** argv) {
   using namespace acs;
@@ -44,7 +48,7 @@ int main(int argc, char** argv) {
 
   bool traced = false;
   for (unsigned workers : {4U, 8U}) {
-    workload::NginxConfig config;
+    workload::FleetConfig config;
     config.workers = workers;
     config.requests_per_worker = options.smoke ? 50 : 250;
     config.repeats = options.smoke ? 2 : 5;
@@ -55,12 +59,12 @@ int main(int argc, char** argv) {
 
     const auto run_scheme = [&](Scheme scheme, const char* label,
                                 bool trace_this) {
-      workload::NginxConfig c = config;
+      workload::FleetConfig c = config;
       c.trace_first_trial = trace_this;
       const bool want_obs =
           collect_metrics || collect_profile || trace_this;
       workload::NginxObs obs_out;
-      const auto result = workload::run_nginx_experiment(
+      const auto result = workload::run_worker_fleet(
           scheme, c, want_obs ? &obs_out : nullptr);
       // Per-scheme decomposition: "pacstack.pa.sign" vs "baseline.pa.sign".
       if (collect_metrics) {
@@ -80,9 +84,8 @@ int main(int argc, char** argv) {
     const auto full = run_scheme(Scheme::kPacStack, "pacstack", trace_now);
     traced = traced || trace_now;
 
-    const u64 runs = u64{config.repeats} * config.workers;
     const auto add = [&](const char* label,
-                         const workload::NginxRunResult& result) {
+                         const workload::FleetResult& result) {
       const double overhead = (1.0 - result.requests_per_second /
                                          baseline.requests_per_second) *
                               100.0;
@@ -94,7 +97,7 @@ int main(int argc, char** argv) {
                          : Table::fmt(overhead, 1)});
       reporter.record("tps_" + std::string(label) + "_w" +
                           std::to_string(workers),
-                      result.requests_per_second, "req/s", runs,
+                      result.requests_per_second, "req/s", result.total_slots,
                       result.stddev);
     };
     add("baseline", baseline);

@@ -14,6 +14,7 @@
 #include "obs/recorder.h"
 #include "sim/cycle_model.h"
 #include "sim/fault.h"
+#include "workload/nginx_sim.h"
 
 namespace acs::workload {
 

@@ -12,8 +12,10 @@
 // through the deterministic fault-injection engine (src/inject) under an
 // explicit restart policy. A crashed attempt costs availability — its
 // cycles plus exponential supervisor backoff are charged to the slot's
-// wall clock while contributing zero completed requests — instead of
-// aborting the campaign the way run_nginx_experiment's fail-fast does.
+// wall clock while contributing zero completed requests — unless the
+// policy is the default fail-fast, which aborts the campaign instead.
+// Table 3 (bench_table3_nginx) is this engine run fault-free under
+// fail-fast: a crash there means the TPS estimate is unsalvageable.
 // Every slot derives all randomness from exec::trial_seed, so TPS-under-
 // fault, restart counts, and adversary guess outcomes are bitwise
 // identical for any --threads value.
@@ -26,14 +28,16 @@
 #include "common/types.h"
 #include "compiler/scheme.h"
 #include "inject/plan.h"
+#include "obs/metrics.h"
+#include "obs/profile.h"
 #include "workload/backoff.h"
-#include "workload/nginx_sim.h"
 
 namespace acs::workload {
 
 enum class RestartMode : u8 {
   /// A crashed worker aborts the whole campaign (std::runtime_error) —
-  /// the explicit default, matching run_nginx_experiment's contract.
+  /// the explicit default: a crashed worker must never contribute to a
+  /// TPS estimate.
   kFailFast,
   /// Crashed workers are re-forked with the master's PA keys *inherited*
   /// (Section 6.1: guesses accumulate across generations).
@@ -119,6 +123,15 @@ struct FleetResult {
                : static_cast<double>(guess_successes) /
                      static_cast<double>(guess_attempts);
   }
+};
+
+/// Observability output of one fleet run. Metrics and profile are merged
+/// over all slots in slot order, so they are bitwise identical for every
+/// `threads` value; the trace covers slot 0 only.
+struct NginxObs {
+  obs::Metrics metrics;
+  obs::FoldedProfile profile;
+  std::string trace_json;  ///< Chrome trace-event JSON (empty if not traced)
 };
 
 /// Run the supervised fleet for one scheme. Under kFailFast any crash

@@ -1,13 +1,14 @@
 // Thread-invariance of the observability output: the metrics shard, the
-// folded profile and the (trial-0-only) trace of a Monte-Carlo experiment
-// must be BITWISE identical for every --threads value. This is the obs
-// extension of the determinism contract in src/exec/parallel.h.
+// folded profile and the (slot-0-only) trace of a Table 3 worker fleet
+// (fault-free, fail-fast) must be BITWISE identical for every --threads
+// value. This is the obs extension of the determinism contract in
+// src/exec/parallel.h.
 #include <gtest/gtest.h>
 
 #include <string>
 #include <vector>
 
-#include "workload/nginx_sim.h"
+#include "workload/fleet.h"
 
 namespace acs {
 namespace {
@@ -18,7 +19,7 @@ struct Observed {
 };
 
 Observed run(unsigned threads) {
-  workload::NginxConfig config;
+  workload::FleetConfig config;
   config.workers = 2;
   config.requests_per_worker = 10;
   config.repeats = 2;
@@ -28,7 +29,7 @@ Observed run(unsigned threads) {
   config.collect_profile = true;
   config.trace_first_trial = true;
   Observed out;
-  const auto result = workload::run_nginx_experiment(
+  const auto result = workload::run_worker_fleet(
       compiler::Scheme::kPacStack, config, &out.obs);
   out.tps = result.requests_per_second;
   return out;
@@ -58,7 +59,7 @@ TEST(ObsThreadInvarianceTest, MetricsProfileAndTraceAreBitwiseIdentical) {
 TEST(ObsThreadInvarianceTest, MetricsCoverTheWholeCampaign) {
   const Observed t1 = run(1);
   // 2 workers x 2 repeats, 10 requests each, under pacstack: every call
-  // in every trial contributes — far more than one worker alone could.
+  // in every slot contributes — far more than one worker alone could.
   EXPECT_GT(t1.obs.metrics.counter("chain.push"), 0u);
   EXPECT_GT(t1.obs.metrics.counter("pa.sign"),
             t1.obs.metrics.counter("chain.push") / 2);
@@ -68,26 +69,26 @@ TEST(ObsThreadInvarianceTest, MetricsCoverTheWholeCampaign) {
 }
 
 TEST(ObsThreadInvarianceTest, ObsCollectionDoesNotPerturbResults) {
-  workload::NginxConfig config;
+  workload::FleetConfig config;
   config.workers = 2;
   config.requests_per_worker = 10;
   config.repeats = 2;
   config.seed = 1234;
 
   const auto plain =
-      workload::run_nginx_experiment(compiler::Scheme::kPacStack, config);
+      workload::run_worker_fleet(compiler::Scheme::kPacStack, config);
 
   config.collect_metrics = true;
   config.collect_profile = true;
   config.trace_first_trial = true;
   workload::NginxObs obs;
-  const auto observed = workload::run_nginx_experiment(
+  const auto observed = workload::run_worker_fleet(
       compiler::Scheme::kPacStack, config, &obs);
 
   // Attaching the recorder must not change the simulation itself.
   EXPECT_EQ(plain.requests_per_second, observed.requests_per_second);
   EXPECT_EQ(plain.stddev, observed.stddev);
-  EXPECT_EQ(plain.total_requests, observed.total_requests);
+  EXPECT_EQ(plain.completed_requests, observed.completed_requests);
 }
 
 }  // namespace

@@ -8,6 +8,7 @@
 #include "workload/callgraph_gen.h"
 #include "workload/confirm_suite.h"
 #include "workload/measure.h"
+#include "workload/fleet.h"
 #include "workload/nginx_sim.h"
 #include "workload/spec_suite.h"
 
@@ -112,27 +113,28 @@ TEST(Nginx, WorkerRunsCleanly) {
 }
 
 TEST(Nginx, InstrumentationCostsThroughput) {
-  NginxConfig config;
+  // Table 3's engine: a fault-free fleet under the default fail-fast policy.
+  FleetConfig config;
   config.workers = 2;
   config.requests_per_worker = 40;
   config.repeats = 3;
-  const auto base = run_nginx_experiment(Scheme::kNone, config);
-  const auto full = run_nginx_experiment(Scheme::kPacStack, config);
-  const auto nomask = run_nginx_experiment(Scheme::kPacStackNoMask, config);
+  const auto base = run_worker_fleet(Scheme::kNone, config);
+  const auto full = run_worker_fleet(Scheme::kPacStack, config);
+  const auto nomask = run_worker_fleet(Scheme::kPacStackNoMask, config);
   EXPECT_GT(base.requests_per_second, full.requests_per_second);
   EXPECT_GE(nomask.requests_per_second, full.requests_per_second);
   EXPECT_GT(full.requests_per_second, 0.0);
 }
 
 TEST(Nginx, MoreWorkersMoreThroughput) {
-  NginxConfig four;
+  FleetConfig four;
   four.workers = 4;
   four.requests_per_worker = 30;
   four.repeats = 2;
-  NginxConfig eight = four;
+  FleetConfig eight = four;
   eight.workers = 8;
-  const auto tps4 = run_nginx_experiment(Scheme::kNone, four);
-  const auto tps8 = run_nginx_experiment(Scheme::kNone, eight);
+  const auto tps4 = run_worker_fleet(Scheme::kNone, four);
+  const auto tps8 = run_worker_fleet(Scheme::kNone, eight);
   // Independent CPU-bound workers: ~2x (Table 3 shows 14.2k -> 30.7k).
   EXPECT_NEAR(tps8.requests_per_second / tps4.requests_per_second, 2.0, 0.3);
 }
