@@ -48,19 +48,19 @@ int main(int argc, char** argv) {
   obs::Metrics obs_metrics;
   obs::FoldedProfile obs_profile;
   std::string trace_json;
-  bench::FaultSection fault_totals;
-
+  // Campaign totals for the "faults" section, folded in campaign order.
+  workload::FleetResult totals;
   const auto fold = [&](const workload::FleetResult& result) {
     for (const auto& [kind, count] : result.injected) {
-      fault_totals.injected[kind] += count;
+      totals.injected[kind] += count;
     }
     for (const auto& [cause, count] : result.crashes) {
-      fault_totals.crashes[cause] += count;
+      totals.crashes[cause] += count;
     }
-    fault_totals.restarts += result.restarts;
-    fault_totals.guess_attempts += result.guess_attempts;
-    fault_totals.guess_successes += result.guess_successes;
-    fault_totals.backoff_cycles += result.backoff_cycles;
+    totals.restarts += result.restarts;
+    totals.guess_attempts += result.guess_attempts;
+    totals.guess_successes += result.guess_successes;
+    totals.backoff_cycles += result.backoff_cycles;
   };
 
   std::printf("PACStack reproduction — availability under fault injection "
@@ -201,6 +201,13 @@ int main(int argc, char** argv) {
     if (ok) std::printf("[profile] wrote %s\n", options.profile_path.c_str());
   }
   if (collect_metrics) reporter.set_obs_metrics(std::move(obs_metrics));
-  reporter.set_fault_section(std::move(fault_totals));
+  reporter.set_section("faults",
+                       bench::JsonObject()
+                           .add("injected", totals.injected)
+                           .add("crashes", totals.crashes)
+                           .add("restarts", totals.restarts)
+                           .add("guess_attempts", totals.guess_attempts)
+                           .add("guess_successes", totals.guess_successes)
+                           .add("backoff_cycles", totals.backoff_cycles));
   return (reporter.finish() && ok) ? 0 : 1;
 }

@@ -16,6 +16,7 @@
 #include <cmath>
 #include <cstdio>
 #include <iostream>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -35,7 +36,9 @@ namespace {
 using namespace acs;
 
 struct JobResult {
-  bench::KernelEntry entry;
+  synth::KernelShape shape;
+  u64 cycles = 0;        ///< simulated cycles to clean exit
+  u64 instructions = 0;  ///< instructions retired
   obs::Metrics metrics;
   bool clean_exit = false;
 };
@@ -46,7 +49,6 @@ struct JobResult {
 JobResult run_job(const synth::KernelSpec& spec, compiler::Scheme scheme) {
   const compiler::ProgramIr ir =
       synth::generate_kernel(spec.params, spec.seed);
-  const synth::KernelShape shape = synth::measure_shape(ir);
 
   obs::RecorderConfig rc;
   rc.metrics = true;
@@ -60,34 +62,43 @@ JobResult run_job(const synth::KernelSpec& spec, compiler::Scheme scheme) {
   kernel::Machine machine(program, options);
   machine.run();
 
-  JobResult result;
   auto& process = machine.init_process();
-  result.clean_exit = process.state == kernel::ProcessState::kExited &&
-                      process.exit_code == 0;
-  result.metrics = recorder.metrics();
+  return JobResult{
+      .shape = synth::measure_shape(ir),
+      .cycles = process.cycles(),
+      .instructions = process.instructions(),
+      .metrics = recorder.metrics(),
+      .clean_exit = process.state == kernel::ProcessState::kExited &&
+                    process.exit_code == 0,
+  };
+}
 
-  bench::KernelEntry& entry = result.entry;
-  entry.functions = shape.functions;
-  entry.static_calls = shape.call_sites;
-  entry.static_depth = shape.max_static_depth;
-  entry.cycles = process.cycles();
-  entry.instructions = process.instructions();
-  entry.pa_instructions = result.metrics.counter("sim.instr.pa");
-  entry.chain_pushes = result.metrics.counter("chain.push");
-  const auto& histograms = result.metrics.histograms();
+/// One "kernels" entry: the run's static shape and simulated cost, plus
+/// the per-call and per-instruction attribution derived from its obs
+/// counters. The doubles are ratios of deterministic integers.
+bench::JsonObject kernel_entry(const JobResult& job, u64 base_cycles) {
+  u64 calls = 0;  // dynamic calls: the sim.call.depth histogram total
+  const auto& histograms = job.metrics.histograms();
   if (const auto it = histograms.find("sim.call.depth");
       it != histograms.end()) {
-    entry.calls = it->second.total();
+    calls = it->second.total();
   }
-  if (entry.calls > 0) {
-    entry.cycles_per_call = static_cast<double>(entry.cycles) /
-                            static_cast<double>(entry.calls);
-  }
-  if (entry.instructions > 0) {
-    entry.cycles_per_instruction = static_cast<double>(entry.cycles) /
-                                   static_cast<double>(entry.instructions);
-  }
-  return result;
+  const auto ratio = [](u64 num, u64 den) {
+    return den == 0 ? 0.0
+                    : static_cast<double>(num) / static_cast<double>(den);
+  };
+  return bench::JsonObject()
+      .add("functions", job.shape.functions)
+      .add("static_calls", job.shape.call_sites)
+      .add("static_depth", job.shape.max_static_depth)
+      .add("cycles", job.cycles)
+      .add("instructions", job.instructions)
+      .add("calls", calls)
+      .add("pa_instructions", job.metrics.counter("sim.instr.pa"))
+      .add("chain_pushes", job.metrics.counter("chain.push"))
+      .add("overhead_percent", (ratio(job.cycles, base_cycles) - 1.0) * 100.0)
+      .add("cycles_per_call", ratio(job.cycles, calls))
+      .add("cycles_per_instruction", ratio(job.cycles, job.instructions));
 }
 
 }  // namespace
@@ -120,9 +131,9 @@ int main(int argc, char** argv) {
           },
           options.threads);
 
-  bench::KernelsSection section;
-  section.kernels = specs.size();
-  section.schemes = schemes.size();
+  u64 total_cycles = 0;
+  u64 total_instructions = 0;
+  std::map<std::string, bench::JsonObject> entries;
   obs::Metrics obs_totals;
   std::vector<std::string> header = {"kernel", "baseline cycles"};
   for (const compiler::Scheme scheme : schemes) {
@@ -138,7 +149,7 @@ int main(int argc, char** argv) {
   for (std::size_t s = 0; s < specs.size(); ++s) {
     const std::string kernel_tag = specs[s].family + "/" + specs[s].point;
     const u64 base_cycles =
-        results[s * schemes.size()].entry.cycles;  // schemes[0] == kNone
+        results[s * schemes.size()].cycles;  // schemes[0] == kNone
     std::vector<std::string> row = {kernel_tag,
                                     Table::fmt_count(base_cycles)};
     for (std::size_t c = 0; c < schemes.size(); ++c) {
@@ -149,23 +160,16 @@ int main(int argc, char** argv) {
                      compiler::scheme_name(schemes[c]).c_str());
         return 1;
       }
-      bench::KernelEntry entry = result.entry;
-      entry.overhead_percent =
-          (static_cast<double>(entry.cycles) /
-               static_cast<double>(base_cycles) -
-           1.0) *
-          100.0;
-      log_ratio_sum[c] += std::log(static_cast<double>(entry.cycles) /
-                                   static_cast<double>(base_cycles));
+      const double cycle_ratio = static_cast<double>(result.cycles) /
+                                 static_cast<double>(base_cycles);
+      log_ratio_sum[c] += std::log(cycle_ratio);
       if (schemes[c] != compiler::Scheme::kNone) {
-        row.push_back(Table::fmt(entry.overhead_percent, 2));
+        row.push_back(Table::fmt((cycle_ratio - 1.0) * 100.0, 2));
       }
-      section.runs += 1;
-      section.total_cycles += entry.cycles;
-      section.total_instructions += entry.instructions;
-      section.entries.emplace(
-          kernel_tag + "/" + compiler::scheme_name(schemes[c]),
-          std::move(entry));
+      total_cycles += result.cycles;
+      total_instructions += result.instructions;
+      entries.emplace(kernel_tag + "/" + compiler::scheme_name(schemes[c]),
+                      kernel_entry(result, base_cycles));
       obs_totals.merge(result.metrics,
                        compiler::scheme_name(schemes[c]) + ".");
     }
@@ -186,7 +190,14 @@ int main(int argc, char** argv) {
                     geomean, "percent", specs.size());
   }
 
-  reporter.set_kernels_section(std::move(section));
+  reporter.set_section("kernels", bench::JsonObject()
+                                      .add("kernels", specs.size())
+                                      .add("schemes", schemes.size())
+                                      .add("runs", n_jobs)
+                                      .add("total_cycles", total_cycles)
+                                      .add("total_instructions",
+                                           total_instructions)
+                                      .add("entries", entries));
   reporter.set_obs_metrics(std::move(obs_totals));
   return reporter.finish() ? 0 : 1;
 }

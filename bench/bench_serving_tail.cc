@@ -19,6 +19,7 @@
 #include <cstdio>
 #include <iostream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench/harness.h"
@@ -45,7 +46,7 @@ int main(int argc, char** argv) {
   const bool collect_metrics = !options.json_path.empty();
   obs::Metrics obs_metrics;
   std::string trace_json;
-  bench::TopologySection totals;
+  std::vector<std::pair<std::string, workload::TopologyResult>> results;
 
   std::printf("PACStack reproduction — serving tail latency "
               "(one-tier fork-per-request topology)\n");
@@ -94,7 +95,7 @@ int main(int argc, char** argv) {
                                 load > 100 && rate > 0;
         config.trace = trace_this;
 
-        const auto result =
+        auto result =
             workload::run_topology_simulation(scheme.scheme, config);
 
         const std::string tag = std::string(scheme.label) + "_load" +
@@ -105,7 +106,6 @@ int main(int argc, char** argv) {
           trace_json = result.trace_json;
           traced = true;
         }
-        totals.add(tag, result);
 
         sweep.add_row(
             {scheme.label, std::to_string(load), Table::fmt(rate, 0),
@@ -127,6 +127,7 @@ int main(int argc, char** argv) {
                         result.requests);
         reporter.record("dropped_" + tag, static_cast<double>(result.dropped),
                         "requests", result.requests);
+        results.emplace_back(tag, std::move(result));
       }
     }
   }
@@ -144,6 +145,6 @@ int main(int argc, char** argv) {
     if (ok) std::printf("[trace] wrote %s\n", options.trace_path.c_str());
   }
   if (collect_metrics) reporter.set_obs_metrics(std::move(obs_metrics));
-  reporter.set_topology_section(std::move(totals));
+  reporter.set_section("topology", bench::topology_section(results));
   return (reporter.finish() && ok) ? 0 : 1;
 }

@@ -25,6 +25,7 @@
 #include <cstdio>
 #include <iostream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench/harness.h"
@@ -52,7 +53,7 @@ int main(int argc, char** argv) {
 
   const bool collect_metrics = !options.json_path.empty();
   std::string trace_json;
-  bench::TopologySection totals;
+  std::vector<std::pair<std::string, workload::TopologyResult>> results;
 
   std::printf("PACStack reproduction — multi-tier serving topology under "
               "correlated fault storms\n");
@@ -108,7 +109,7 @@ int main(int argc, char** argv) {
                                   storm > 0 && arm == Mitigation::kBreakerShed;
           config.trace = trace_this;
 
-          const auto result =
+          auto result =
               workload::run_topology_simulation(scheme.scheme, config);
 
           const std::string tag =
@@ -120,8 +121,6 @@ int main(int argc, char** argv) {
             trace_json = result.trace_json;
             traced = true;
           }
-
-          totals.add(tag, result);
 
           const std::string post =
               std::to_string(result.post_storm.goodput) + "/" +
@@ -145,6 +144,7 @@ int main(int argc, char** argv) {
           reporter.record("crashed_attempts_" + tag,
                           static_cast<double>(result.crashed_attempts),
                           "attempts", result.requests);
+          results.emplace_back(tag, std::move(result));
         }
       }
     }
@@ -162,6 +162,6 @@ int main(int argc, char** argv) {
     if (ok) std::printf("[trace] wrote %s\n", options.trace_path.c_str());
   }
   if (collect_metrics) reporter.set_obs_metrics(std::move(obs_metrics));
-  reporter.set_topology_section(std::move(totals));
+  reporter.set_section("topology", bench::topology_section(results));
   return (reporter.finish() && ok) ? 0 : 1;
 }

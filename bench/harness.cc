@@ -1,5 +1,6 @@
 #include "bench/harness.h"
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -163,94 +164,125 @@ bool write_file(const std::string& path, const std::string& body,
   return true;
 }
 
-namespace {
+JsonObject& JsonObject::add(const std::string& key, u64 value) {
+  fields_.push_back(Field{.key = key, .scalar = std::to_string(value)});
+  return *this;
+}
 
-/// {"name": count, ...} with std::map (sorted-key) iteration order.
-[[nodiscard]] std::string counter_map_json(
-    const std::map<std::string, u64>& counters) {
+JsonObject& JsonObject::add(const std::string& key, double value) {
+  fields_.push_back(Field{.key = key, .scalar = format_double(value)});
+  return *this;
+}
+
+JsonObject& JsonObject::add(const std::string& key, const std::string& value) {
+  fields_.push_back(Field{.key = key, .scalar = "\"" + escape_json(value) + "\""});
+  return *this;
+}
+
+JsonObject& JsonObject::add(const std::string& key, JsonObject value) {
+  fields_.push_back(Field{.key = key, .object = std::move(value.fields_)});
+  return *this;
+}
+
+std::string JsonObject::to_json(int indent) const {
+  return render(fields_, indent);
+}
+
+std::string JsonObject::render(const std::vector<Field>& fields, int indent) {
+  const bool nested = std::any_of(fields.begin(), fields.end(),
+                                  [](const Field& f) { return f.scalar.empty(); });
+  const std::string pad(static_cast<std::size_t>(indent) + 2, ' ');
   std::string out = "{";
-  bool first = true;
-  for (const auto& [name, count] : counters) {
-    if (!first) out += ", ";
-    first = false;
-    out.append("\"").append(escape_json(name)).append("\": ").append(
-        std::to_string(count));
+  for (std::size_t i = 0; i < fields.size(); ++i) {
+    const Field& field = fields[i];
+    if (i > 0) out += ",";
+    out += nested ? "\n" + pad : (i > 0 ? " " : "");
+    out += "\"" + escape_json(field.key) + "\": ";
+    out += field.scalar.empty() ? render(field.object, indent + 2)
+                                : field.scalar;
   }
-  out += "}";
-  return out;
+  if (nested) out += "\n" + std::string(static_cast<std::size_t>(indent), ' ');
+  return out + "}";
 }
 
-}  // namespace
+JsonObject topology_section(
+    const std::vector<std::pair<std::string, workload::TopologyResult>>&
+        sweep) {
+  // Totals in sweep order; every value is an integer, so the section is
+  // bitwise identical for every --threads value.
+  workload::TopologyResult total;
+  std::map<std::string, JsonObject> configs;
+  for (const auto& [tag, r] : sweep) {
+    total.requests += r.requests;
+    total.completed += r.completed;
+    total.dropped += r.dropped;
+    total.failed += r.failed;
+    total.goodput += r.goodput;
+    total.deadline_missed += r.deadline_missed;
+    total.crashed_attempts += r.crashed_attempts;
+    total.retries += r.retries;
+    total.retry_budget_denied += r.retry_budget_denied;
+    total.hedges += r.hedges;
+    total.breaker_trips += r.breaker_trips;
+    total.breaker_probes += r.breaker_probes;
+    total.forks += r.forks;
+    total.cow_pages_copied += r.cow_pages_copied;
+    total.backoff_cycles += r.backoff_cycles;
+    total.gauge_samples += r.gauge_samples;
+    for (const auto& [cause, count] : r.drops) total.drops[cause] += count;
 
-namespace {
-
-/// {"p50": ..., ..., "count": ...} — the LatencySummary encoding of the
-/// "topology" section's entries.
-[[nodiscard]] std::string latency_summary_json(const LatencySummary& s) {
-  return "{\"p50\": " + std::to_string(s.p50) + ", \"p90\": " +
-         std::to_string(s.p90) + ", \"p99\": " + std::to_string(s.p99) +
-         ", \"p999\": " + std::to_string(s.p999) + ", \"max\": " +
-         std::to_string(s.max) + ", \"count\": " + std::to_string(s.count) +
-         "}";
+    const auto phase = [](const workload::PhaseStats& p) {
+      return JsonObject().add("arrivals", p.arrivals).add("goodput", p.goodput);
+    };
+    configs[tag] =
+        JsonObject()
+            .add("requests", r.requests)
+            .add("completed", r.completed)
+            .add("dropped", r.dropped)
+            .add("failed", r.failed)
+            .add("goodput", r.goodput)
+            .add("deadline_missed", r.deadline_missed)
+            .add("crashed_attempts", r.crashed_attempts)
+            .add("retries", r.retries)
+            .add("breaker_trips", r.breaker_trips)
+            .add("phases", JsonObject()
+                               .add("pre_storm", phase(r.pre_storm))
+                               .add("storm", phase(r.storm))
+                               .add("post_storm", phase(r.post_storm)))
+            .add("latency", JsonObject()
+                                .add("p50", r.latency.p50())
+                                .add("p90", r.latency.p90())
+                                .add("p99", r.latency.p99())
+                                .add("p999", r.latency.p999())
+                                .add("max", r.latency.max())
+                                .add("count", r.latency.count()));
+  }
+  return JsonObject()
+      .add("requests", total.requests)
+      .add("completed", total.completed)
+      .add("dropped", total.dropped)
+      .add("failed", total.failed)
+      .add("goodput", total.goodput)
+      .add("deadline_missed", total.deadline_missed)
+      .add("crashed_attempts", total.crashed_attempts)
+      .add("retries", total.retries)
+      .add("retry_budget_denied", total.retry_budget_denied)
+      .add("hedges", total.hedges)
+      .add("breaker_trips", total.breaker_trips)
+      .add("breaker_probes", total.breaker_probes)
+      .add("forks", total.forks)
+      .add("cow_pages_copied", total.cow_pages_copied)
+      .add("backoff_cycles", total.backoff_cycles)
+      .add("gauge_samples", total.gauge_samples)
+      .add("drops", total.drops)
+      .add("configs", configs);
 }
 
-}  // namespace
-
-void TopologySection::add(const std::string& tag,
-                          const workload::TopologyResult& result) {
-  requests += result.requests;
-  completed += result.completed;
-  dropped += result.dropped;
-  failed += result.failed;
-  goodput += result.goodput;
-  deadline_missed += result.deadline_missed;
-  crashed_attempts += result.crashed_attempts;
-  retries += result.retries;
-  retry_budget_denied += result.retry_budget_denied;
-  hedges += result.hedges;
-  breaker_trips += result.breaker_trips;
-  breaker_probes += result.breaker_probes;
-  forks += result.forks;
-  cow_pages_copied += result.cow_pages_copied;
-  backoff_cycles += result.backoff_cycles;
-  gauge_samples += result.gauge_samples;
-  for (const auto& [cause, count] : result.drops) drops[cause] += count;
-  configs[tag] = TopologyEntry{
-      .requests = result.requests,
-      .completed = result.completed,
-      .dropped = result.dropped,
-      .failed = result.failed,
-      .goodput = result.goodput,
-      .deadline_missed = result.deadline_missed,
-      .crashed_attempts = result.crashed_attempts,
-      .retries = result.retries,
-      .breaker_trips = result.breaker_trips,
-      .pre_storm_arrivals = result.pre_storm.arrivals,
-      .pre_storm_goodput = result.pre_storm.goodput,
-      .storm_arrivals = result.storm.arrivals,
-      .storm_goodput = result.storm.goodput,
-      .post_storm_arrivals = result.post_storm.arrivals,
-      .post_storm_goodput = result.post_storm.goodput,
-      .latency =
-          LatencySummary{
-              .p50 = result.latency.p50(),
-              .p90 = result.latency.p90(),
-              .p99 = result.latency.p99(),
-              .p999 = result.latency.p999(),
-              .max = result.latency.max(),
-              .count = result.latency.count(),
-          },
-  };
-}
-
-std::string to_json(const std::string& bench_name,
-                    const BenchOptions& options, u64 base_seed,
-                    const std::vector<Metric>& metrics,
-                    double wall_seconds, const obs::Metrics* obs_metrics,
-                    const FaultSection* faults, const FuzzSection* fuzz,
-                    const LintSection* lint,
-                    const TopologySection* topology,
-                    const KernelsSection* kernels) {
+std::string to_json(
+    const std::string& bench_name, const BenchOptions& options, u64 base_seed,
+    const std::vector<Metric>& metrics, double wall_seconds,
+    const obs::Metrics* obs_metrics,
+    const std::vector<std::pair<std::string, JsonObject>>& sections) {
   std::string out;
   out += "{\n";
   out += "  \"bench\": \"" + escape_json(bench_name) + "\",\n";
@@ -265,169 +297,8 @@ std::string to_json(const std::string& bench_name,
     // this section is bitwise identical for every --threads value.
     out += "  \"obs\": " + obs_metrics->to_json(2) + ",\n";
   }
-  if (faults != nullptr) {
-    // Integer counters in fixed (sorted-key / trial) order — like "obs",
-    // bitwise identical for every --threads value.
-    out += "  \"faults\": {\n";
-    out += "    \"injected\": " + counter_map_json(faults->injected) + ",\n";
-    out += "    \"crashes\": " + counter_map_json(faults->crashes) + ",\n";
-    out += "    \"restarts\": " + std::to_string(faults->restarts) + ",\n";
-    out += "    \"guess_attempts\": " + std::to_string(faults->guess_attempts) +
-           ",\n";
-    out += "    \"guess_successes\": " +
-           std::to_string(faults->guess_successes) + ",\n";
-    out += "    \"backoff_cycles\": " + std::to_string(faults->backoff_cycles) +
-           "\n";
-    out += "  },\n";
-  }
-  if (fuzz != nullptr) {
-    // Integer counters in fixed (trial) order; the fingerprint is an
-    // order-independent set digest — bitwise identical for any --threads.
-    char fp[32];
-    std::snprintf(fp, sizeof fp, "0x%016llx",
-                  static_cast<unsigned long long>(fuzz->coverage_fingerprint));
-    out += "  \"fuzz\": {\n";
-    out += "    \"candidates\": " + std::to_string(fuzz->candidates) + ",\n";
-    out += "    \"viable\": " + std::to_string(fuzz->viable) + ",\n";
-    out += "    \"executions\": " + std::to_string(fuzz->executions) + ",\n";
-    out += "    \"rounds\": " + std::to_string(fuzz->rounds) + ",\n";
-    out += "    \"corpus_size\": " + std::to_string(fuzz->corpus_size) + ",\n";
-    out += "    \"features_covered\": " +
-           std::to_string(fuzz->features_covered) + ",\n";
-    out += "    \"coverage_fingerprint\": \"" + std::string(fp) + "\",\n";
-    out += "    \"findings\": " + counter_map_json(fuzz->findings_by_oracle) +
-           "\n";
-    out += "  },\n";
-  }
-  if (lint != nullptr) {
-    // Pure function of the workload/scheme sets: integer counters in fixed
-    // iteration order, bitwise identical for every --threads value.
-    out += "  \"lint\": {\n";
-    out += "    \"programs\": " + std::to_string(lint->programs) + ",\n";
-    out += "    \"functions_verified\": " +
-           std::to_string(lint->functions_verified) + ",\n";
-    out += "    \"diagnostics\": " + std::to_string(lint->diagnostics) + ",\n";
-    out += "    \"witnesses\": " + std::to_string(lint->witnesses) + ",\n";
-    out += "    \"replays_confirmed\": " +
-           std::to_string(lint->replays_confirmed) + ",\n";
-    out += "    \"replays_refuted\": " +
-           std::to_string(lint->replays_refuted) + ",\n";
-    out += "    \"replays_unconfirmed\": " +
-           std::to_string(lint->replays_unconfirmed) + ",\n";
-    out += "    \"findings_by_code\": " +
-           counter_map_json(lint->findings_by_code) + ",\n";
-    out += "    \"findings_by_function\": " +
-           counter_map_json(lint->findings_by_function) + "\n";
-    out += "  },\n";
-  }
-  if (topology != nullptr) {
-    // Integer counters in fixed sweep order — like "obs", bitwise
-    // identical for every --threads value (the bench_topology_invariance
-    // ctest target pins the section at 1 vs 2 vs 8 threads).
-    out += "  \"topology\": {\n";
-    out += "    \"requests\": " + std::to_string(topology->requests) + ",\n";
-    out += "    \"completed\": " + std::to_string(topology->completed) + ",\n";
-    out += "    \"dropped\": " + std::to_string(topology->dropped) + ",\n";
-    out += "    \"failed\": " + std::to_string(topology->failed) + ",\n";
-    out += "    \"goodput\": " + std::to_string(topology->goodput) + ",\n";
-    out += "    \"deadline_missed\": " +
-           std::to_string(topology->deadline_missed) + ",\n";
-    out += "    \"crashed_attempts\": " +
-           std::to_string(topology->crashed_attempts) + ",\n";
-    out += "    \"retries\": " + std::to_string(topology->retries) + ",\n";
-    out += "    \"retry_budget_denied\": " +
-           std::to_string(topology->retry_budget_denied) + ",\n";
-    out += "    \"hedges\": " + std::to_string(topology->hedges) + ",\n";
-    out += "    \"breaker_trips\": " + std::to_string(topology->breaker_trips) +
-           ",\n";
-    out += "    \"breaker_probes\": " +
-           std::to_string(topology->breaker_probes) + ",\n";
-    out += "    \"forks\": " + std::to_string(topology->forks) + ",\n";
-    out += "    \"cow_pages_copied\": " +
-           std::to_string(topology->cow_pages_copied) + ",\n";
-    out += "    \"backoff_cycles\": " +
-           std::to_string(topology->backoff_cycles) + ",\n";
-    out += "    \"gauge_samples\": " + std::to_string(topology->gauge_samples) +
-           ",\n";
-    out += "    \"drops\": " + counter_map_json(topology->drops) + ",\n";
-    out += "    \"configs\": {";
-    bool first_config = true;
-    for (const auto& [tag, entry] : topology->configs) {
-      out += first_config ? "\n" : ",\n";
-      first_config = false;
-      out += "      \"" + escape_json(tag) + "\": {\n";
-      out += "        \"requests\": " + std::to_string(entry.requests) + ",\n";
-      out += "        \"completed\": " + std::to_string(entry.completed) +
-             ",\n";
-      out += "        \"dropped\": " + std::to_string(entry.dropped) + ",\n";
-      out += "        \"failed\": " + std::to_string(entry.failed) + ",\n";
-      out += "        \"goodput\": " + std::to_string(entry.goodput) + ",\n";
-      out += "        \"deadline_missed\": " +
-             std::to_string(entry.deadline_missed) + ",\n";
-      out += "        \"crashed_attempts\": " +
-             std::to_string(entry.crashed_attempts) + ",\n";
-      out += "        \"retries\": " + std::to_string(entry.retries) + ",\n";
-      out += "        \"breaker_trips\": " +
-             std::to_string(entry.breaker_trips) + ",\n";
-      out += "        \"phases\": {\"pre_storm\": {\"arrivals\": " +
-             std::to_string(entry.pre_storm_arrivals) + ", \"goodput\": " +
-             std::to_string(entry.pre_storm_goodput) +
-             "}, \"storm\": {\"arrivals\": " +
-             std::to_string(entry.storm_arrivals) + ", \"goodput\": " +
-             std::to_string(entry.storm_goodput) +
-             "}, \"post_storm\": {\"arrivals\": " +
-             std::to_string(entry.post_storm_arrivals) + ", \"goodput\": " +
-             std::to_string(entry.post_storm_goodput) + "}},\n";
-      out += "        \"latency\": " + latency_summary_json(entry.latency) +
-             "\n";
-      out += "      }";
-    }
-    out += topology->configs.empty() ? "}\n" : "\n    }\n";
-    out += "  },\n";
-  }
-  if (kernels != nullptr) {
-    // Integer cycle/instruction totals in fixed sweep order; the doubles
-    // are ratios of those integers — bitwise identical for every
-    // --threads value (the bench_kernels_invariance ctest target pins the
-    // section at 1 vs 2 vs 8 threads).
-    out += "  \"kernels\": {\n";
-    out += "    \"kernels\": " + std::to_string(kernels->kernels) + ",\n";
-    out += "    \"schemes\": " + std::to_string(kernels->schemes) + ",\n";
-    out += "    \"runs\": " + std::to_string(kernels->runs) + ",\n";
-    out += "    \"total_cycles\": " + std::to_string(kernels->total_cycles) +
-           ",\n";
-    out += "    \"total_instructions\": " +
-           std::to_string(kernels->total_instructions) + ",\n";
-    out += "    \"entries\": {";
-    bool first_entry = true;
-    for (const auto& [tag, entry] : kernels->entries) {
-      out += first_entry ? "\n" : ",\n";
-      first_entry = false;
-      out += "      \"" + escape_json(tag) + "\": {\n";
-      out += "        \"functions\": " + std::to_string(entry.functions) +
-             ",\n";
-      out += "        \"static_calls\": " +
-             std::to_string(entry.static_calls) + ",\n";
-      out += "        \"static_depth\": " +
-             std::to_string(entry.static_depth) + ",\n";
-      out += "        \"cycles\": " + std::to_string(entry.cycles) + ",\n";
-      out += "        \"instructions\": " +
-             std::to_string(entry.instructions) + ",\n";
-      out += "        \"calls\": " + std::to_string(entry.calls) + ",\n";
-      out += "        \"pa_instructions\": " +
-             std::to_string(entry.pa_instructions) + ",\n";
-      out += "        \"chain_pushes\": " +
-             std::to_string(entry.chain_pushes) + ",\n";
-      out += "        \"overhead_percent\": " +
-             format_double(entry.overhead_percent) + ",\n";
-      out += "        \"cycles_per_call\": " +
-             format_double(entry.cycles_per_call) + ",\n";
-      out += "        \"cycles_per_instruction\": " +
-             format_double(entry.cycles_per_instruction) + "\n";
-      out += "      }";
-    }
-    out += kernels->entries.empty() ? "}\n" : "\n    }\n";
-    out += "  },\n";
+  for (const auto& [name, section] : sections) {
+    out += "  \"" + escape_json(name) + "\": " + section.to_json(2) + ",\n";
   }
   out += "  \"metrics\": [";
   for (std::size_t i = 0; i < metrics.size(); ++i) {
@@ -465,29 +336,15 @@ void BenchReporter::set_obs_metrics(obs::Metrics metrics) {
   has_obs_metrics_ = true;
 }
 
-void BenchReporter::set_fault_section(FaultSection faults) {
-  fault_section_ = std::move(faults);
-  has_fault_section_ = true;
-}
-
-void BenchReporter::set_fuzz_section(FuzzSection fuzz) {
-  fuzz_section_ = std::move(fuzz);
-  has_fuzz_section_ = true;
-}
-
-void BenchReporter::set_lint_section(LintSection lint) {
-  lint_section_ = std::move(lint);
-  has_lint_section_ = true;
-}
-
-void BenchReporter::set_topology_section(TopologySection topology) {
-  topology_section_ = std::move(topology);
-  has_topology_section_ = true;
-}
-
-void BenchReporter::set_kernels_section(KernelsSection kernels) {
-  kernels_section_ = std::move(kernels);
-  has_kernels_section_ = true;
+void BenchReporter::set_section(const std::string& name,
+                                JsonObject section) {
+  for (auto& [existing, object] : sections_) {
+    if (existing == name) {
+      object = std::move(section);
+      return;
+    }
+  }
+  sections_.emplace_back(name, std::move(section));
 }
 
 bool BenchReporter::finish() {
@@ -498,12 +355,7 @@ bool BenchReporter::finish() {
       static_cast<double>(now_ns() - start_ns_) * 1e-9;
   const std::string body =
       to_json(bench_name_, options_, base_seed_, metrics_, wall_seconds,
-              has_obs_metrics_ ? &obs_metrics_ : nullptr,
-              has_fault_section_ ? &fault_section_ : nullptr,
-              has_fuzz_section_ ? &fuzz_section_ : nullptr,
-              has_lint_section_ ? &lint_section_ : nullptr,
-              has_topology_section_ ? &topology_section_ : nullptr,
-              has_kernels_section_ ? &kernels_section_ : nullptr);
+              has_obs_metrics_ ? &obs_metrics_ : nullptr, sections_);
   if (!write_file(options_.json_path, body, bench_name_)) return false;
   std::cout << "[json] wrote " << options_.json_path << "\n";
   return true;

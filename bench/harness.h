@@ -24,6 +24,7 @@
 
 #include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/types.h"
@@ -63,152 +64,50 @@ struct Metric {
   double stddev = 0;   ///< sample stddev across trials (0 = n/a)
 };
 
-/// Fault-injection campaign totals, emitted as the "faults" section of the
-/// JSON trajectory (see docs/bench-output.md). Integer counters aggregated
-/// in fixed trial order — bitwise identical for every --threads value.
-struct FaultSection {
-  std::map<std::string, u64> injected;  ///< delivered, by inject kind name
-  std::map<std::string, u64> crashes;   ///< worker crashes, by sim fault name
-  u64 restarts = 0;
-  u64 guess_attempts = 0;
-  u64 guess_successes = 0;
-  u64 backoff_cycles = 0;
+/// An ordered JSON object: one section of a trajectory (see
+/// docs/bench-output.md), built where its data lives. Keys print in
+/// insertion order, integers exactly, doubles with %.17g and strings
+/// escaped, so a section built in a fixed order from deterministic values
+/// is bitwise identical for every --threads value. Keys must be unique.
+class JsonObject {
+ public:
+  JsonObject& add(const std::string& key, u64 value);
+  JsonObject& add(const std::string& key, double value);
+  JsonObject& add(const std::string& key, const std::string& value);
+  JsonObject& add(const std::string& key, JsonObject value);
+
+  /// A keyed table becomes an object in the map's (sorted) key order:
+  /// counter maps (T = u64) and per-configuration entries (T = JsonObject).
+  template <typename T>
+  JsonObject& add(const std::string& key,
+                  const std::map<std::string, T>& table) {
+    JsonObject object;
+    for (const auto& [name, value] : table) object.add(name, value);
+    return add(key, std::move(object));
+  }
+
+  /// Serialise; nested lines are indented relative to `indent` spaces.
+  /// An object without nested objects prints on one line.
+  [[nodiscard]] std::string to_json(int indent = 0) const;
+
+ private:
+  struct Field {
+    std::string key;
+    std::string scalar;         ///< rendered value; empty for an object
+    std::vector<Field> object;  ///< members when `scalar` is empty
+  };
+  static std::string render(const std::vector<Field>& fields, int indent);
+
+  std::vector<Field> fields_;
 };
 
-/// Fuzzing campaign totals, emitted as the "fuzz" section of the JSON
-/// trajectory (see docs/bench-output.md). The coverage fingerprint is the
-/// order-independent digest of the final feature map — identical for every
-/// --threads value under a fixed candidate budget, which is exactly the
-/// determinism claim the ctest pins.
-struct FuzzSection {
-  u64 candidates = 0;        ///< candidates evaluated (incl. discarded)
-  u64 viable = 0;            ///< candidates at least one oracle applied to
-  u64 executions = 0;        ///< machine runs across all oracles
-  u64 rounds = 0;
-  u64 corpus_size = 0;       ///< entries kept by the coverage scheduler
-  u64 features_covered = 0;  ///< distinct features in the final map
-  u64 coverage_fingerprint = 0;  ///< FeatureMap::fingerprint(), hex in JSON
-  std::map<std::string, u64> findings_by_oracle;  ///< oracle name -> count
-};
-
-/// Static-verifier totals, emitted as the "lint" section of the JSON
-/// trajectory (see docs/bench-output.md). Everything is a pure function of
-/// (workload set, scheme set): integer counters in fixed iteration order,
-/// bitwise identical for every --threads value. Replay counters stay zero
-/// unless the run replayed witnesses (acs-lint --replay).
-struct LintSection {
-  u64 programs = 0;             ///< (scheme, workload) pairs verified
-  u64 functions_verified = 0;
-  u64 diagnostics = 0;
-  u64 witnesses = 0;            ///< attack witnesses synthesized
-  u64 replays_confirmed = 0;    ///< witness replays per verdict
-  u64 replays_refuted = 0;
-  u64 replays_unconfirmed = 0;
-  std::map<std::string, u64> findings_by_code;      ///< "ACS001" -> count
-  std::map<std::string, u64> findings_by_function;  ///< function -> count
-};
-
-/// One configuration's end-to-end latency summary: integer simulated
-/// cycles extracted from an obs::LogHistogram (docs/observability.md
-/// "Latency histograms") — deterministic for every --threads value.
-struct LatencySummary {
-  u64 p50 = 0;
-  u64 p90 = 0;
-  u64 p99 = 0;
-  u64 p999 = 0;
-  u64 max = 0;
-  u64 count = 0;  ///< completed requests behind the percentiles
-};
-
-/// One topology sweep configuration's outcome (bench_serving_tail,
-/// bench_serving_topology): terminal accounting, storm-phase goodput, and
-/// the end-to-end latency summary. The phase split is the metastability
-/// probe — post-storm goodput staying collapsed after the storm window
-/// closes is the failure mode the mitigation arms exist to prevent.
-struct TopologyEntry {
-  u64 requests = 0;
-  u64 completed = 0;
-  u64 dropped = 0;
-  u64 failed = 0;
-  u64 goodput = 0;          ///< completions within deadline
-  u64 deadline_missed = 0;
-  u64 crashed_attempts = 0;
-  u64 retries = 0;
-  u64 breaker_trips = 0;
-  u64 pre_storm_arrivals = 0;
-  u64 pre_storm_goodput = 0;
-  u64 storm_arrivals = 0;
-  u64 storm_goodput = 0;
-  u64 post_storm_arrivals = 0;
-  u64 post_storm_goodput = 0;
-  LatencySummary latency;
-};
-
-/// Topology-engine totals, emitted as the "topology" section of the JSON
-/// trajectory (see docs/bench-output.md). Counters are summed over every
-/// configuration in the sweep; `configs` carries one TopologyEntry per
-/// configuration tag (e.g. "pacstack_load90_s8000_breaker-shed"). All
-/// integers in fixed sweep order — bitwise identical for every --threads
-/// value (pinned by the bench_serving_invariance and
-/// bench_topology_invariance ctest targets).
-struct TopologySection {
-  u64 requests = 0;
-  u64 completed = 0;
-  u64 dropped = 0;
-  u64 failed = 0;
-  u64 goodput = 0;
-  u64 deadline_missed = 0;
-  u64 crashed_attempts = 0;
-  u64 retries = 0;
-  u64 retry_budget_denied = 0;
-  u64 hedges = 0;
-  u64 breaker_trips = 0;
-  u64 breaker_probes = 0;
-  u64 forks = 0;
-  u64 cow_pages_copied = 0;
-  u64 backoff_cycles = 0;
-  u64 gauge_samples = 0;
-  std::map<std::string, u64> drops;  ///< terminal cause -> count, summed
-  std::map<std::string, TopologyEntry> configs;  ///< config tag -> outcome
-
-  /// Sum one run_topology_simulation result into the totals and file its
-  /// entry under `tag`.
-  void add(const std::string& tag, const workload::TopologyResult& result);
-};
-
-/// One (kernel point, scheme) measurement of the synthetic-kernel sweep
-/// (bench_kernel_sweep, docs/synthetic-kernels.md): simulated cycle /
-/// instruction totals plus the per-call and per-op attribution derived
-/// from the obs counters of the same run. The doubles are ratios of
-/// deterministic integers, so the section is bitwise identical for every
-/// --threads value.
-struct KernelEntry {
-  u64 functions = 0;        ///< functions in the generated IR
-  u64 static_calls = 0;     ///< static call sites (direct+indirect+slot)
-  u64 static_depth = 0;     ///< longest static call chain
-  u64 cycles = 0;           ///< simulated cycles to clean exit
-  u64 instructions = 0;     ///< instructions retired
-  u64 calls = 0;            ///< dynamic calls (sim.call.depth total)
-  u64 pa_instructions = 0;  ///< retired PA-class instructions
-  u64 chain_pushes = 0;     ///< authenticated-chain pushes (PACStack only)
-  double overhead_percent = 0;  ///< cycles vs the kNone run, same kernel
-  double cycles_per_call = 0;
-  double cycles_per_instruction = 0;
-};
-
-/// Synthetic-kernel overhead surface, emitted as the "kernels" section of
-/// the JSON trajectory (see docs/bench-output.md). `entries` is keyed
-/// "<family>/<point>/<scheme>"; totals are summed in fixed sweep order —
-/// bitwise identical for every --threads value (pinned by the
-/// bench_kernels_invariance ctest target).
-struct KernelsSection {
-  u64 kernels = 0;  ///< distinct (family, point) kernels measured
-  u64 schemes = 0;
-  u64 runs = 0;     ///< machine runs behind the entries
-  u64 total_cycles = 0;
-  u64 total_instructions = 0;
-  std::map<std::string, KernelEntry> entries;
-};
+/// The "topology" section of the serving benches (bench_serving_tail,
+/// bench_serving_topology): totals summed over the sweep, plus one entry
+/// per configuration tag with its terminal accounting, storm-phase goodput
+/// and end-to-end latency summary.
+[[nodiscard]] JsonObject topology_section(
+    const std::vector<std::pair<std::string, workload::TopologyResult>>&
+        sweep);
 
 /// Collects metrics during a bench run and writes the machine-readable
 /// trajectory on finish(). Wall-clock time is measured from construction
@@ -227,25 +126,10 @@ class BenchReporter {
   /// section of the JSON trajectory; see docs/bench-output.md).
   void set_obs_metrics(obs::Metrics metrics);
 
-  /// Attach the fault-injection campaign totals (emitted as the "faults"
-  /// section of the JSON trajectory).
-  void set_fault_section(FaultSection faults);
-
-  /// Attach the fuzzing campaign totals (emitted as the "fuzz" section of
-  /// the JSON trajectory).
-  void set_fuzz_section(FuzzSection fuzz);
-
-  /// Attach the static-verifier totals (emitted as the "lint" section of
-  /// the JSON trajectory).
-  void set_lint_section(LintSection lint);
-
-  /// Attach the topology-engine totals (emitted as the "topology" section
-  /// of the JSON trajectory).
-  void set_topology_section(TopologySection topology);
-
-  /// Attach the synthetic-kernel overhead surface (emitted as the
-  /// "kernels" section of the JSON trajectory).
-  void set_kernels_section(KernelsSection kernels);
+  /// Attach a named section of the JSON trajectory ("faults", "fuzz",
+  /// "lint", "topology", "kernels"), emitted after "obs" in the order first
+  /// set; setting a name again replaces its object.
+  void set_section(const std::string& name, JsonObject section);
 
   /// Write the JSON file if --json was given. Returns false (after
   /// printing to stderr) if the file cannot be written. Idempotent.
@@ -263,16 +147,7 @@ class BenchReporter {
   std::vector<Metric> metrics_;
   obs::Metrics obs_metrics_;
   bool has_obs_metrics_ = false;
-  FaultSection fault_section_;
-  bool has_fault_section_ = false;
-  FuzzSection fuzz_section_;
-  bool has_fuzz_section_ = false;
-  LintSection lint_section_;
-  bool has_lint_section_ = false;
-  TopologySection topology_section_;
-  bool has_topology_section_ = false;
-  KernelsSection kernels_section_;
-  bool has_kernels_section_ = false;
+  std::vector<std::pair<std::string, JsonObject>> sections_;
   long long start_ns_;
   bool finished_ = false;
 };
@@ -280,20 +155,12 @@ class BenchReporter {
 /// Serialise a trajectory to the docs/bench-output.md JSON schema.
 /// Exposed separately so tests can check the encoding without touching the
 /// filesystem. `obs_metrics` (may be nullptr) adds the "obs" section;
-/// `faults` (may be nullptr) adds the "faults" section; `fuzz` (may be
-/// nullptr) adds the "fuzz" section; `lint` (may be nullptr) adds the
-/// "lint" section; `topology` and `kernels` (may be nullptr) add their
-/// sections likewise.
-[[nodiscard]] std::string to_json(const std::string& bench_name,
-                                  const BenchOptions& options, u64 base_seed,
-                                  const std::vector<Metric>& metrics,
-                                  double wall_seconds,
-                                  const obs::Metrics* obs_metrics = nullptr,
-                                  const FaultSection* faults = nullptr,
-                                  const FuzzSection* fuzz = nullptr,
-                                  const LintSection* lint = nullptr,
-                                  const TopologySection* topology = nullptr,
-                                  const KernelsSection* kernels = nullptr);
+/// `sections` follow it in order.
+[[nodiscard]] std::string to_json(
+    const std::string& bench_name, const BenchOptions& options, u64 base_seed,
+    const std::vector<Metric>& metrics, double wall_seconds,
+    const obs::Metrics* obs_metrics = nullptr,
+    const std::vector<std::pair<std::string, JsonObject>>& sections = {});
 
 /// Write `body` to `path` (truncating); on failure prints to stderr and
 /// returns false. Used for the --json/--trace/--profile sinks.

@@ -4,6 +4,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -134,6 +135,69 @@ TEST(ToJson, ObsSectionAppearsOnlyWhenProvided) {
 
   const std::string without = to_json("b", BenchOptions{}, 0, {}, 0.0);
   EXPECT_EQ(without.find("\"obs\""), std::string::npos) << without;
+}
+
+TEST(JsonObject, KeepsInsertionOrderAndEncodesEachValueKind) {
+  const std::map<std::string, u64> counters = {{"b", 2}, {"a", 1}};
+  const std::string json =
+      JsonObject()
+          .add("zeta", u64{18446744073709551615ULL})
+          .add("alpha", 1.0 / 3.0)
+          .add("tag", std::string("q\"uote"))
+          .add("counters", counters)
+          .to_json();
+  EXPECT_EQ(json,
+            "{\n  \"zeta\": 18446744073709551615,\n"
+            "  \"alpha\": 0.33333333333333331,\n  \"tag\": \"q\\\"uote\",\n"
+            "  \"counters\": {\"a\": 1, \"b\": 2}\n}");
+}
+
+TEST(JsonObject, NestedObjectsPrintOneMemberPerLine) {
+  const std::map<std::string, JsonObject> entries = {
+      {"x/y", JsonObject().add("cycles", u64{7})}};
+  const std::string json =
+      JsonObject().add("runs", u64{1}).add("entries", entries).to_json(2);
+  EXPECT_EQ(json,
+            "{\n    \"runs\": 1,\n    \"entries\": {\n      "
+            "\"x/y\": {\"cycles\": 7}\n    }\n  }");
+  EXPECT_EQ(JsonObject().to_json(), "{}");
+}
+
+TEST(ToJson, SectionsFollowObsInOrder) {
+  obs::Metrics obs_metrics;
+  obs_metrics.add("pa.sign", 7);
+  const std::string json = to_json(
+      "b", BenchOptions{}, 0, {}, 0.0, &obs_metrics,
+      {{"topology", JsonObject().add("requests", u64{3})},
+       {"faults", JsonObject().add("restarts", u64{2})}});
+  const auto obs = json.find("\"obs\": {");
+  const auto topology = json.find("\"topology\": {\"requests\": 3},");
+  const auto faults = json.find("\"faults\": {\"restarts\": 2},");
+  const auto metrics = json.find("\"metrics\": [");
+  ASSERT_NE(faults, std::string::npos) << json;
+  EXPECT_LT(obs, topology);
+  EXPECT_LT(topology, faults);
+  EXPECT_LT(faults, metrics);
+}
+
+TEST(BenchReporter, SetSectionReplacesASectionOfTheSameName) {
+  const std::string path = ::testing::TempDir() + "/acs_harness_section.json";
+  std::remove(path.c_str());
+  BenchOptions options;
+  options.json_path = path;
+  BenchReporter reporter("bench_unit", options, 7);
+  reporter.set_section("lint", JsonObject().add("programs", u64{1}));
+  reporter.set_section("lint", JsonObject().add("programs", u64{2}));
+  ASSERT_TRUE(reporter.finish());
+
+  std::ifstream file(path);
+  std::ostringstream buffer;
+  buffer << file.rdbuf();
+  EXPECT_EQ(buffer.str().find("\"programs\": 1"), std::string::npos);
+  EXPECT_NE(buffer.str().find("\"lint\": {\"programs\": 2}"),
+            std::string::npos)
+      << buffer.str();
+  std::remove(path.c_str());
 }
 
 TEST(BenchReporter, SetObsMetricsReachesTheJsonFile) {

@@ -26,6 +26,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -296,18 +297,10 @@ int campaign(const Options& options) {
               static_cast<unsigned long long>(result.fingerprint()),
               result.hit_time_budget ? " (stopped by --time-budget)" : "");
 
-  bench::FuzzSection section;
-  section.candidates = result.candidates;
-  section.viable = result.viable;
-  section.executions = result.executions;
-  section.rounds = result.rounds;
-  section.corpus_size = result.corpus_size;
-  section.features_covered = result.coverage.size();
-  section.coverage_fingerprint = result.fingerprint();
-
+  std::map<std::string, u64> findings_by_oracle;
   for (std::size_t i = 0; i < result.findings.size(); ++i) {
     const fuzz::FoundCase& found = result.findings[i];
-    ++section.findings_by_oracle[fuzz::oracle_name(found.finding.oracle)];
+    ++findings_by_oracle[fuzz::oracle_name(found.finding.oracle)];
     std::printf("FINDING [%s] %s: %s (shrunk %zu -> %zu ops)\n",
                 fuzz::oracle_name(found.finding.oracle),
                 compiler::scheme_name(found.finding.scheme).c_str(),
@@ -326,7 +319,22 @@ int campaign(const Options& options) {
     }
   }
 
-  reporter.set_fuzz_section(section);
+  // The fingerprint is an order-independent set digest, so the section is
+  // bitwise identical for any --threads.
+  char fingerprint[32];
+  std::snprintf(fingerprint, sizeof fingerprint, "0x%016llx",
+                static_cast<unsigned long long>(result.fingerprint()));
+  reporter.set_section("fuzz",
+                       bench::JsonObject()
+                           .add("candidates", result.candidates)
+                           .add("viable", result.viable)
+                           .add("executions", result.executions)
+                           .add("rounds", result.rounds)
+                           .add("corpus_size", result.corpus_size)
+                           .add("features_covered", result.coverage.size())
+                           .add("coverage_fingerprint",
+                                std::string(fingerprint))
+                           .add("findings", findings_by_oracle));
   reporter.record("candidates", static_cast<double>(result.candidates),
                   "programs");
   reporter.record("features_covered",

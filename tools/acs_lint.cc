@@ -306,7 +306,13 @@ int run(const Options& options) {
   bench::BenchReporter reporter("acs_lint", options.bench, /*base_seed=*/1);
   std::map<Code, std::size_t> totals;
   std::vector<Code> seen;
-  bench::LintSection lint;
+  // Totals for the "lint" section, in fixed (scheme, workload) order.
+  u64 programs = 0;
+  u64 functions_verified = 0;
+  u64 diagnostics = 0;
+  u64 witness_count = 0;
+  std::map<std::string, u64> findings_by_code;
+  std::map<std::string, u64> findings_by_function;
   verify::ReplaySummary replays;
   bool within_expectation = true;
 
@@ -315,9 +321,9 @@ int run(const Options& options) {
       const sim::Program program =
           compiler::compile_ir(w.ir, {.scheme = scheme});
       const verify::Report report = verify::verify_program(program, scheme);
-      ++lint.programs;
-      lint.functions_verified += report.functions_verified;
-      lint.diagnostics += report.diagnostics.size();
+      ++programs;
+      functions_verified += report.functions_verified;
+      diagnostics += report.diagnostics.size();
       const std::vector<Code> codes = report.codes();
       for (const Code c : codes) {
         if (std::find(seen.begin(), seen.end(), c) == seen.end()) {
@@ -326,8 +332,8 @@ int run(const Options& options) {
       }
       for (const auto& d : report.diagnostics) {
         ++totals[d.code];
-        ++lint.findings_by_code[verify::code_name(d.code)];
-        ++lint.findings_by_function[d.function];
+        ++findings_by_code[verify::code_name(d.code)];
+        ++findings_by_function[d.function];
       }
       if (options.expect) {
         for (const Code c : codes) {
@@ -340,7 +346,7 @@ int run(const Options& options) {
 
       const auto witnesses =
           verify::synthesize_witnesses(program, scheme, report);
-      lint.witnesses += witnesses.size();
+      witness_count += witnesses.size();
       if (!options.witness_dir.empty() && !witnesses.empty()) {
         std::string body;
         for (const auto& witness : witnesses) {
@@ -391,12 +397,12 @@ int run(const Options& options) {
   std::printf(
       "verified %llu program(s), %llu function(s): %llu finding(s)%s, "
       "%llu witness(es)\n",
-      static_cast<unsigned long long>(lint.programs),
-      static_cast<unsigned long long>(lint.functions_verified),
-      static_cast<unsigned long long>(lint.diagnostics),
-      lint.diagnostics == 0 ? ""
+      static_cast<unsigned long long>(programs),
+      static_cast<unsigned long long>(functions_verified),
+      static_cast<unsigned long long>(diagnostics),
+      diagnostics == 0 ? ""
                             : (" [" + codes_to_string(seen) + "]").c_str(),
-      static_cast<unsigned long long>(lint.witnesses));
+      static_cast<unsigned long long>(witness_count));
   if (options.replay) {
     std::printf("replayed %zu witness(es): %zu confirmed, %zu refuted, "
                 "%zu unconfirmed\n",
@@ -416,13 +422,12 @@ int run(const Options& options) {
     std::printf("replay verdicts: NOT all confirmed\n");
   }
 
-  const std::size_t diagnostics_total = lint.diagnostics;
-  reporter.record("programs_checked", static_cast<double>(lint.programs),
+  reporter.record("programs_checked", static_cast<double>(programs),
                   "programs");
   reporter.record("functions_verified",
-                  static_cast<double>(lint.functions_verified), "functions");
+                  static_cast<double>(functions_verified), "functions");
   reporter.record("diagnostics_total",
-                  static_cast<double>(diagnostics_total), "diagnostics");
+                  static_cast<double>(diagnostics), "diagnostics");
   for (int i = 1; i <= 8; ++i) {
     const Code code = static_cast<Code>(i);
     std::string metric = verify::code_name(code);
@@ -433,20 +438,28 @@ int run(const Options& options) {
                                        : static_cast<double>(it->second),
                     "diagnostics");
   }
-  reporter.record("clean", diagnostics_total == 0 ? 1.0 : 0.0, "bool");
-  reporter.record("witnesses", static_cast<double>(lint.witnesses),
+  reporter.record("clean", diagnostics == 0 ? 1.0 : 0.0, "bool");
+  reporter.record("witnesses", static_cast<double>(witness_count),
                   "witnesses");
   if (options.replay) {
     reporter.record("replays_confirmed",
                     static_cast<double>(replays.confirmed), "replays");
-    lint.replays_confirmed = replays.confirmed;
-    lint.replays_refuted = replays.refuted;
-    lint.replays_unconfirmed = replays.unconfirmed;
   }
   if (options.expect) {
     reporter.record("expect_met", expect_met ? 1.0 : 0.0, "bool");
   }
-  reporter.set_lint_section(std::move(lint));
+  // Replay counters stay zero unless --replay ran.
+  reporter.set_section("lint",
+                       bench::JsonObject()
+                           .add("programs", programs)
+                           .add("functions_verified", functions_verified)
+                           .add("diagnostics", diagnostics)
+                           .add("witnesses", witness_count)
+                           .add("replays_confirmed", replays.confirmed)
+                           .add("replays_refuted", replays.refuted)
+                           .add("replays_unconfirmed", replays.unconfirmed)
+                           .add("findings_by_code", findings_by_code)
+                           .add("findings_by_function", findings_by_function));
   if (!reporter.finish()) return 1;
   return expect_met && replays_ok ? 0 : 1;
 }

@@ -18,6 +18,7 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "bench/json_view.h"
 
@@ -62,36 +63,139 @@ bool numeric_array(const Value* v, std::size_t& n) {
   return true;
 }
 
-/// Validate the optional "obs" section (src/obs metrics registry dump):
-/// {"counters": {name: number}, "histograms": {name: {"edges": [...],
-/// "counts": [...]}}} with counts one longer than edges (overflow bucket).
-std::string check_obs_section(const Value& obs) {
-  const Object* top = obs.object();
-  if (top == nullptr) return "'obs' is not an object";
+/// The optional trajectory sections (docs/bench-output.md), as data. A
+/// rule applies when the first segment of its path is a top-level key;
+/// every later segment must then be an object, and "*" stands for every
+/// member of the object reached so far. The object at the end of the path
+/// needs each `numbers` key as a number and each `counters` key as a
+/// {name: number} map.
+struct SectionRule {
+  const char* path;
+  std::vector<const char*> numbers;
+  std::vector<const char*> counters;
+};
 
-  const Value* counters = find(*top, "counters");
-  if (counters == nullptr || counters->object() == nullptr) {
-    return "'obs.counters' missing or not an object";
+const SectionRule kSectionRules[] = {
+    {"obs", {}, {"counters"}},
+    {"obs.histograms.*", {}, {}},
+    {"faults",
+     {"restarts", "guess_attempts", "guess_successes", "backoff_cycles"},
+     {"injected", "crashes"}},
+    {"fuzz",
+     {"candidates", "viable", "executions", "rounds", "corpus_size",
+      "features_covered"},
+     {"findings"}},
+    {"lint",
+     {"programs", "functions_verified", "diagnostics", "witnesses",
+      "replays_confirmed", "replays_refuted", "replays_unconfirmed"},
+     {"findings_by_code", "findings_by_function"}},
+    {"topology",
+     {"requests", "completed", "dropped", "failed", "goodput",
+      "deadline_missed", "crashed_attempts", "retries", "retry_budget_denied",
+      "hedges", "breaker_trips", "breaker_probes", "forks",
+      "cow_pages_copied", "backoff_cycles", "gauge_samples"},
+     {"drops"}},
+    {"topology.configs.*",
+     {"requests", "completed", "dropped", "failed", "goodput",
+      "deadline_missed", "crashed_attempts", "retries", "breaker_trips"},
+     {}},
+    {"topology.configs.*.phases.pre_storm", {"arrivals", "goodput"}, {}},
+    {"topology.configs.*.phases.storm", {"arrivals", "goodput"}, {}},
+    {"topology.configs.*.phases.post_storm", {"arrivals", "goodput"}, {}},
+    {"topology.configs.*.latency",
+     {"p50", "p90", "p99", "p999", "max", "count"},
+     {}},
+    {"kernels",
+     {"kernels", "schemes", "runs", "total_cycles", "total_instructions"},
+     {}},
+    {"kernels.entries.*",
+     {"functions", "static_calls", "static_depth", "cycles", "instructions",
+      "calls", "pa_instructions", "chain_pushes", "overhead_percent",
+      "cycles_per_call", "cycles_per_instruction"},
+     {}},
+};
+
+/// Check `rule` against the object at `where`, starting at path segment
+/// `segment` of the rule.
+std::string check_rule(const SectionRule& rule,
+                       const std::vector<std::string>& segments,
+                       std::size_t segment, const Object& object,
+                       const std::string& where) {
+  if (segment < segments.size()) {
+    const std::string& key = segments[segment];
+    if (key == "*") {
+      for (const auto& [name, child] : object) {
+        const std::string path = where + "." + name;
+        if (child.object() == nullptr) return "'" + path + "' is not an object";
+        std::string error =
+            check_rule(rule, segments, segment + 1, *child.object(), path);
+        if (!error.empty()) return error;
+      }
+      return {};
+    }
+    const std::string path = where + "." + key;
+    const Value* child = find(object, key);
+    if (child == nullptr || child->object() == nullptr) {
+      return "'" + path + "' missing or not an object";
+    }
+    return check_rule(rule, segments, segment + 1, *child->object(), path);
   }
-  for (const auto& [name, value] : *counters->object()) {
-    if (!value.is_number()) {
-      return "'obs.counters." + name + "' is not a number";
+  for (const char* key : rule.numbers) {
+    const Value* v = find(object, key);
+    if (v == nullptr || !v->is_number()) {
+      return "'" + where + "." + key + "' missing or not a number";
     }
   }
-
-  const Value* histograms = find(*top, "histograms");
-  if (histograms == nullptr || histograms->object() == nullptr) {
-    return "'obs.histograms' missing or not an object";
+  for (const char* key : rule.counters) {
+    const Value* map = find(object, key);
+    if (map == nullptr || map->object() == nullptr) {
+      return "'" + where + "." + key + "' missing or not an object";
+    }
+    for (const auto& [name, value] : *map->object()) {
+      if (!value.is_number()) {
+        return "'" + where + "." + key + "." + name + "' is not a number";
+      }
+    }
   }
-  for (const auto& [name, value] : *histograms->object()) {
+  return {};
+}
+
+/// Apply every rule of kSectionRules whose section is present.
+std::string check_section_rules(const Object& top) {
+  for (const SectionRule& rule : kSectionRules) {
+    std::vector<std::string> segments;
+    std::stringstream path(rule.path);
+    for (std::string segment; std::getline(path, segment, '.');) {
+      segments.push_back(segment);
+    }
+    const Value* section = find(top, segments.front());
+    if (section == nullptr) continue;
+    if (section->object() == nullptr) {
+      return "'" + segments.front() + "' is not an object";
+    }
+    std::string error =
+        check_rule(rule, segments, 1, *section->object(), segments.front());
+    if (!error.empty()) return error;
+  }
+  return {};
+}
+
+// --- Cross-field rules, run once kSectionRules has passed -----------------
+
+double number(const Object& object, const char* key) {
+  return find(object, key)->number();
+}
+
+/// Each histogram has `counts` one longer than `edges` (overflow bucket).
+std::string check_histogram_buckets(const Object& obs) {
+  for (const auto& [name, value] : *find(obs, "histograms")->object()) {
     const std::string where = "'obs.histograms." + name + "'";
-    const Object* hist = value.object();
-    if (hist == nullptr) return where + " is not an object";
+    const Object& hist = *value.object();
     std::size_t n_edges = 0, n_counts = 0;
-    if (!numeric_array(find(*hist, "edges"), n_edges)) {
+    if (!numeric_array(find(hist, "edges"), n_edges)) {
       return where + " lacks numeric array 'edges'";
     }
-    if (!numeric_array(find(*hist, "counts"), n_counts)) {
+    if (!numeric_array(find(hist, "counts"), n_counts)) {
       return where + " lacks numeric array 'counts'";
     }
     if (n_counts != n_edges + 1) {
@@ -101,296 +205,130 @@ std::string check_obs_section(const Value& obs) {
   return {};
 }
 
-/// Validate the optional "faults" section (fault-injection campaign
-/// totals, see docs/bench-output.md): {"injected": {kind: number},
-/// "crashes": {cause: number}, "restarts": number, "guess_attempts":
-/// number, "guess_successes": number, "backoff_cycles": number}.
-std::string check_faults_section(const Value& faults) {
-  const Object* top = faults.object();
-  if (top == nullptr) return "'faults' is not an object";
-
-  for (const char* key : {"injected", "crashes"}) {
-    const Value* counters = find(*top, key);
-    if (counters == nullptr || counters->object() == nullptr) {
-      return std::string("'faults.") + key + "' missing or not an object";
-    }
-    for (const auto& [name, value] : *counters->object()) {
-      if (!value.is_number()) {
-        return std::string("'faults.") + key + "." + name +
-               "' is not a number";
-      }
-    }
-  }
-
-  for (const char* key :
-       {"restarts", "guess_attempts", "guess_successes", "backoff_cycles"}) {
-    const Value* v = find(*top, key);
-    if (v == nullptr || !v->is_number()) {
-      return std::string("'faults.") + key + "' missing or not a number";
-    }
-  }
-  return {};
-}
-
-/// Validate the optional "fuzz" section (fuzzing campaign totals, see
-/// docs/bench-output.md): numeric counters, a hex-string
-/// "coverage_fingerprint", and a {oracle: number} "findings" map.
-std::string check_fuzz_section(const Value& fuzz) {
-  const Object* top = fuzz.object();
-  if (top == nullptr) return "'fuzz' is not an object";
-
-  for (const char* key : {"candidates", "viable", "executions", "rounds",
-                          "corpus_size", "features_covered"}) {
-    const Value* v = find(*top, key);
-    if (v == nullptr || !v->is_number()) {
-      return std::string("'fuzz.") + key + "' missing or not a number";
-    }
-  }
-
-  const Value* fingerprint = find(*top, "coverage_fingerprint");
+/// The coverage fingerprint is an 0x-prefixed 64-bit hex string.
+std::string check_fingerprint(const Object& fuzz) {
+  const Value* fingerprint = find(fuzz, "coverage_fingerprint");
   if (fingerprint == nullptr || !fingerprint->is_string()) {
     return "'fuzz.coverage_fingerprint' missing or not a string";
   }
-  const std::string& fp = std::get<std::string>(fingerprint->data);
+  const std::string& fp = fingerprint->string();
   if (fp.size() != 18 || fp.compare(0, 2, "0x") != 0 ||
       fp.find_first_not_of("0123456789abcdef", 2) != std::string::npos) {
     return "'fuzz.coverage_fingerprint' is not an 0x-prefixed 64-bit hex "
            "string";
   }
+  return {};
+}
 
-  const Value* findings = find(*top, "findings");
-  if (findings == nullptr || findings->object() == nullptr) {
-    return "'fuzz.findings' missing or not an object";
-  }
-  for (const auto& [name, value] : *findings->object()) {
-    if (!value.is_number()) {
-      return "'fuzz.findings." + name + "' is not a number";
-    }
+/// Replayed witness verdicts cover every witness exactly once whenever any
+/// replay counter is non-zero.
+std::string check_replays(const Object& lint) {
+  const double replays = number(lint, "replays_confirmed") +
+                         number(lint, "replays_refuted") +
+                         number(lint, "replays_unconfirmed");
+  if (replays != 0 && replays != number(lint, "witnesses")) {
+    return "'lint.replays_*' verdicts do not sum to 'lint.witnesses'";
   }
   return {};
 }
 
-/// Validate the optional "lint" section (static-verifier totals, see
-/// docs/bench-output.md): numeric counters plus {code: number} /
-/// {function: number} breakdown maps. Replayed witness verdicts must add
-/// up to the witness count (every witness gets exactly one verdict) when
-/// any replay counter is non-zero.
-std::string check_lint_section(const Value& lint) {
-  const Object* top = lint.object();
-  if (top == nullptr) return "'lint' is not an object";
-
-  for (const char* key :
-       {"programs", "functions_verified", "diagnostics", "witnesses",
-        "replays_confirmed", "replays_refuted", "replays_unconfirmed"}) {
-    const Value* v = find(*top, key);
-    if (v == nullptr || !v->is_number()) {
-      return std::string("'lint.") + key + "' missing or not a number";
-    }
-  }
-
-  const double witnesses = std::get<double>(find(*top, "witnesses")->data);
-  const double replays =
-      std::get<double>(find(*top, "replays_confirmed")->data) +
-      std::get<double>(find(*top, "replays_refuted")->data) +
-      std::get<double>(find(*top, "replays_unconfirmed")->data);
-  if (replays != 0 && replays != witnesses) {
-    return "'lint' replay verdicts do not cover every witness";
-  }
-
-  for (const char* key : {"findings_by_code", "findings_by_function"}) {
-    const Value* counters = find(*top, key);
-    if (counters == nullptr || counters->object() == nullptr) {
-      return std::string("'lint.") + key + "' missing or not an object";
-    }
-    for (const auto& [name, value] : *counters->object()) {
-      if (!value.is_number()) {
-        return std::string("'lint.") + key + "." + name +
-               "' is not a number";
-      }
-    }
-  }
-  return {};
-}
-
-/// Validate the optional "topology" section (topology-engine totals, see
-/// docs/bench-output.md): numeric totals with the accounting
-/// identities (completed + dropped + failed == requests; goodput +
-/// deadline_missed == completed), a {cause: number} "drops" map, and a
-/// {tag: entry} "configs" map whose entries carry per-phase goodput
-/// (goodput <= arrivals per phase) and a monotone latency summary.
-std::string check_topology_section(const Value& topology) {
-  const Object* top = topology.object();
-  if (top == nullptr) return "'topology' is not an object";
-
-  for (const char* key :
-       {"requests", "completed", "dropped", "failed", "goodput",
-        "deadline_missed", "crashed_attempts", "retries",
-        "retry_budget_denied", "hedges", "breaker_trips", "breaker_probes",
-        "forks", "cow_pages_copied", "backoff_cycles", "gauge_samples"}) {
-    const Value* v = find(*top, key);
-    if (v == nullptr || !v->is_number()) {
-      return std::string("'topology.") + key + "' missing or not a number";
-    }
-  }
-  if (find(*top, "completed")->number() + find(*top, "dropped")->number() +
-          find(*top, "failed")->number() !=
-      find(*top, "requests")->number()) {
+/// Terminal accounting partitions the requests, the drop causes sum to
+/// dropped + failed, per-phase goodput stays within arrivals, and every
+/// latency summary is monotone.
+std::string check_topology_accounting(const Object& topology) {
+  if (number(topology, "completed") + number(topology, "dropped") +
+          number(topology, "failed") !=
+      number(topology, "requests")) {
     return "'topology' terminal accounting broken "
            "(completed + dropped + failed != requests)";
   }
-  if (find(*top, "goodput")->number() +
-          find(*top, "deadline_missed")->number() !=
-      find(*top, "completed")->number()) {
+  if (number(topology, "goodput") + number(topology, "deadline_missed") !=
+      number(topology, "completed")) {
     return "'topology' goodput accounting broken "
            "(goodput + deadline_missed != completed)";
   }
-
-  const Value* drops = find(*top, "drops");
-  if (drops == nullptr || drops->object() == nullptr) {
-    return "'topology.drops' missing or not an object";
-  }
   double drop_sum = 0;
-  for (const auto& [cause, value] : *drops->object()) {
-    if (!value.is_number()) {
-      return "'topology.drops." + cause + "' is not a number";
-    }
+  for (const auto& [cause, value] : *find(topology, "drops")->object()) {
     drop_sum += value.number();
   }
-  if (drop_sum !=
-      find(*top, "dropped")->number() + find(*top, "failed")->number()) {
+  if (drop_sum != number(topology, "dropped") + number(topology, "failed")) {
     return "'topology.drops' causes do not sum to dropped + failed";
   }
 
-  const Value* configs = find(*top, "configs");
-  if (configs == nullptr || configs->object() == nullptr) {
-    return "'topology.configs' missing or not an object";
-  }
-  for (const auto& [tag, value] : *configs->object()) {
+  for (const auto& [tag, value] : *find(topology, "configs")->object()) {
     const std::string where = "'topology.configs." + tag + "'";
-    const Object* entry = value.object();
-    if (entry == nullptr) return where + " is not an object";
-    for (const char* key :
-         {"requests", "completed", "dropped", "failed", "goodput",
-          "deadline_missed", "crashed_attempts", "retries",
-          "breaker_trips"}) {
-      const Value* v = find(*entry, key);
-      if (v == nullptr || !v->is_number()) {
-        return where + " lacks numeric '" + key + "'";
-      }
-    }
-
-    const Value* phases = find(*entry, "phases");
-    if (phases == nullptr || phases->object() == nullptr) {
-      return where + " lacks object 'phases'";
-    }
+    const Object& entry = *value.object();
+    const Object& phases = *find(entry, "phases")->object();
     for (const char* phase : {"pre_storm", "storm", "post_storm"}) {
-      const Value* p = find(*phases->object(), phase);
-      if (p == nullptr || p->object() == nullptr) {
-        return where + " lacks phase object '" + phase + "'";
-      }
-      const Value* arrivals = find(*p->object(), "arrivals");
-      const Value* goodput = find(*p->object(), "goodput");
-      if (arrivals == nullptr || !arrivals->is_number() ||
-          goodput == nullptr || !goodput->is_number()) {
-        return where + " phase '" + phase +
-               "' lacks numeric arrivals/goodput";
-      }
-      if (goodput->number() > arrivals->number()) {
+      const Object& stats = *find(phases, phase)->object();
+      if (number(stats, "goodput") > number(stats, "arrivals")) {
         return where + " phase '" + phase + "' goodput exceeds arrivals";
       }
     }
-
-    const Value* latency = find(*entry, "latency");
-    if (latency == nullptr || latency->object() == nullptr) {
-      return where + " lacks object 'latency'";
-    }
-    for (const char* key : {"p50", "p90", "p99", "p999", "max", "count"}) {
-      const Value* v = find(*latency->object(), key);
-      if (v == nullptr || !v->is_number()) {
-        return where + " latency lacks numeric '" + key + "'";
+    const Object& latency = *find(entry, "latency")->object();
+    const double p50 = number(latency, "p50");
+    const double p90 = number(latency, "p90");
+    const double p99 = number(latency, "p99");
+    const double p999 = number(latency, "p999");
+    const double max = number(latency, "max");
+    if (number(latency, "count") > 0) {
+      if (!(p50 <= p90 && p90 <= p99 && p99 <= p999)) {
+        return where + " latency percentiles are not monotone";
       }
-    }
-    const Object& summary = *latency->object();
-    const double p50 = find(summary, "p50")->number();
-    const double p90 = find(summary, "p90")->number();
-    const double p99 = find(summary, "p99")->number();
-    const double p999 = find(summary, "p999")->number();
-    const double max = find(summary, "max")->number();
-    const double count = find(summary, "count")->number();
-    if (count > 0 && !(p50 <= p90 && p90 <= p99 && p99 <= p999)) {
-      return where + " latency percentiles are not monotone";
-    }
-    if (count > 0 && p999 > max + max / 32 + 1) {
-      return where + " latency p999 exceeds max beyond bucket rounding";
+      if (p999 > max + max / 32 + 1) {
+        return where + " latency p999 exceeds max beyond bucket rounding";
+      }
     }
   }
   return {};
 }
 
-/// Validate the optional "kernels" section (synthetic-kernel overhead
-/// surface, see docs/bench-output.md): numeric totals, and a {tag: entry}
-/// "entries" map — keys "<family>/<point>/<scheme>" — whose entries carry
-/// the cycle/instruction/call counts with consistent derived ratios
-/// (cycles_per_instruction == cycles / instructions within rounding).
-std::string check_kernels_section(const Value& kernels) {
-  const Object* top = kernels.object();
-  if (top == nullptr) return "'kernels' is not an object";
-
-  for (const char* key : {"kernels", "schemes", "runs", "total_cycles",
-                          "total_instructions"}) {
-    const Value* v = find(*top, key);
-    if (v == nullptr || !v->is_number()) {
-      return std::string("'kernels.") + key + "' missing or not a number";
-    }
-  }
-
-  const Value* entries = find(*top, "entries");
-  if (entries == nullptr || entries->object() == nullptr) {
-    return "'kernels.entries' missing or not an object";
-  }
-  const double expected_entries =
-      find(*top, "kernels")->number() * find(*top, "schemes")->number();
-  if (static_cast<double>(entries->object()->size()) != expected_entries) {
+/// One entry per (kernel, scheme) keyed "<family>/<point>/<scheme>", with
+/// cycles >= instructions >= calls, cycles_per_instruction re-derived, and
+/// total_cycles the exact entry sum.
+std::string check_kernel_accounting(const Object& kernels) {
+  const Object& entries = *find(kernels, "entries")->object();
+  if (static_cast<double>(entries.size()) !=
+      number(kernels, "kernels") * number(kernels, "schemes")) {
     return "'kernels.entries' size != kernels x schemes";
   }
-
   double cycle_sum = 0;
-  for (const auto& [tag, value] : *entries->object()) {
+  for (const auto& [tag, value] : entries) {
     const std::string where = "'kernels.entries." + tag + "'";
     if (tag.find('/') == std::string::npos) {
       return where + " key is not <family>/<point>/<scheme>";
     }
-    const Object* entry = value.object();
-    if (entry == nullptr) return where + " is not an object";
-    for (const char* key :
-         {"functions", "static_calls", "static_depth", "cycles",
-          "instructions", "calls", "pa_instructions", "chain_pushes",
-          "overhead_percent", "cycles_per_call", "cycles_per_instruction"}) {
-      const Value* v = find(*entry, key);
-      if (v == nullptr || !v->is_number()) {
-        return where + " lacks numeric '" + key + "'";
-      }
-    }
-    const double cycles = find(*entry, "cycles")->number();
-    const double instructions = find(*entry, "instructions")->number();
-    const double calls = find(*entry, "calls")->number();
+    const Object& entry = *value.object();
+    const double cycles = number(entry, "cycles");
+    const double instructions = number(entry, "instructions");
     if (instructions > cycles) {
       return where + " instructions exceed cycles (costs are >= 1/instr)";
     }
-    if (calls > instructions) {
+    if (number(entry, "calls") > instructions) {
       return where + " dynamic calls exceed retired instructions";
     }
-    const double cpi = find(*entry, "cycles_per_instruction")->number();
+    const double cpi = number(entry, "cycles_per_instruction");
     if (instructions > 0 && std::fabs(cpi - cycles / instructions) > 1e-9) {
       return where + " cycles_per_instruction != cycles / instructions";
     }
     cycle_sum += cycles;
   }
-  if (cycle_sum != find(*top, "total_cycles")->number()) {
+  if (cycle_sum != number(kernels, "total_cycles")) {
     return "'kernels.total_cycles' does not sum the entries";
   }
   return {};
 }
+
+const struct {
+  const char* section;
+  std::string (*check)(const Object&);
+} kCrossFieldRules[] = {
+    {"obs", check_histogram_buckets},
+    {"fuzz", check_fingerprint},
+    {"lint", check_replays},
+    {"topology", check_topology_accounting},
+    {"kernels", check_kernel_accounting},
+};
 
 /// Validate a Chrome trace-event JSON document (the --trace output of the
 /// benches and acs-run): {"traceEvents": [...]} where every event carries
@@ -469,34 +407,14 @@ std::string check_schema(const Value& root) {
     }
   }
 
-  if (const Value* obs = find(*top, "obs")) {
-    std::string error = check_obs_section(*obs);
-    if (!error.empty()) return error;
+  if (std::string error = check_section_rules(*top); !error.empty()) {
+    return error;
   }
-
-  if (const Value* faults = find(*top, "faults")) {
-    std::string error = check_faults_section(*faults);
-    if (!error.empty()) return error;
-  }
-
-  if (const Value* fuzz = find(*top, "fuzz")) {
-    std::string error = check_fuzz_section(*fuzz);
-    if (!error.empty()) return error;
-  }
-
-  if (const Value* lint = find(*top, "lint")) {
-    std::string error = check_lint_section(*lint);
-    if (!error.empty()) return error;
-  }
-
-  if (const Value* topology = find(*top, "topology")) {
-    std::string error = check_topology_section(*topology);
-    if (!error.empty()) return error;
-  }
-
-  if (const Value* kernels = find(*top, "kernels")) {
-    std::string error = check_kernels_section(*kernels);
-    if (!error.empty()) return error;
+  for (const auto& rule : kCrossFieldRules) {
+    if (const Value* section = find(*top, rule.section)) {
+      std::string error = rule.check(*section->object());
+      if (!error.empty()) return error;
+    }
   }
 
   const Value* metrics = find(*top, "metrics");
