@@ -4,17 +4,15 @@
 //
 // Paper values: 4 workers — baseline 14.2k, nomask 13.7k (-3.5%), full
 // 13.5k (-4.9%); 8 workers — baseline 30.7k, nomask 28.6k (-6.8%), full
-// 27.2k (-11.4%); i.e. 4-7% (nomask) and 6-13% (full) overhead.
+// 27.2k (-11.4%); i.e. 4-7% (nomask) and 6-13% (full) overhead. The
+// workers are a fault-free worker fleet (workload/fleet.h) under the
+// default fail-fast policy: a crashed worker aborts the bench.
 //
 // Observability (src/obs): --json trajectories carry per-scheme event
 // counters ("pacstack.pa.sign", ...) in the "obs" section; --trace records
 // a Perfetto-loadable event trace of one pacstack worker; --profile writes
 // folded cycle stacks for all three schemes, rooted at the scheme name so
 // the overhead decomposes by call site in a flamegraph diff.
-//
-// The workers are a fault-free worker fleet (workload/fleet.h) under the
-// default fail-fast policy: any crashed worker aborts the bench rather
-// than contributing to the TPS estimate.
 #include <cstdio>
 #include <iostream>
 #include <string>

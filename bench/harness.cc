@@ -175,7 +175,8 @@ JsonObject& JsonObject::add(const std::string& key, double value) {
 }
 
 JsonObject& JsonObject::add(const std::string& key, const std::string& value) {
-  fields_.push_back(Field{.key = key, .scalar = "\"" + escape_json(value) + "\""});
+  fields_.push_back(
+      Field{.key = key, .scalar = "\"" + escape_json(value) + "\""});
   return *this;
 }
 
@@ -189,8 +190,9 @@ std::string JsonObject::to_json(int indent) const {
 }
 
 std::string JsonObject::render(const std::vector<Field>& fields, int indent) {
-  const bool nested = std::any_of(fields.begin(), fields.end(),
-                                  [](const Field& f) { return f.scalar.empty(); });
+  const bool nested =
+      std::any_of(fields.begin(), fields.end(),
+                  [](const Field& f) { return f.scalar.empty(); });
   const std::string pad(static_cast<std::size_t>(indent) + 2, ' ');
   std::string out = "{";
   for (std::size_t i = 0; i < fields.size(); ++i) {
@@ -208,74 +210,62 @@ std::string JsonObject::render(const std::vector<Field>& fields, int indent) {
 JsonObject topology_section(
     const std::vector<std::pair<std::string, workload::TopologyResult>>&
         sweep) {
-  // Totals in sweep order; every value is an integer, so the section is
+  using Counter = u64 workload::TopologyResult::*;
+  using R = workload::TopologyResult;
+  // The summed totals, in section order. A configuration entry repeats the
+  // first eight (its terminal accounting) plus breaker_trips.
+  constexpr std::pair<const char*, Counter> kTotals[] = {
+      {"requests", &R::requests},
+      {"completed", &R::completed},
+      {"dropped", &R::dropped},
+      {"failed", &R::failed},
+      {"goodput", &R::goodput},
+      {"deadline_missed", &R::deadline_missed},
+      {"crashed_attempts", &R::crashed_attempts},
+      {"retries", &R::retries},
+      {"retry_budget_denied", &R::retry_budget_denied},
+      {"hedges", &R::hedges},
+      {"breaker_trips", &R::breaker_trips},
+      {"breaker_probes", &R::breaker_probes},
+      {"forks", &R::forks},
+      {"cow_pages_copied", &R::cow_pages_copied},
+      {"backoff_cycles", &R::backoff_cycles},
+      {"gauge_samples", &R::gauge_samples},
+  };
+  constexpr std::size_t kEntryAccounting = 8;
+
+  // Every value is an integer summed in sweep order, so the section is
   // bitwise identical for every --threads value.
-  workload::TopologyResult total;
+  R total;
   std::map<std::string, JsonObject> configs;
   for (const auto& [tag, r] : sweep) {
-    total.requests += r.requests;
-    total.completed += r.completed;
-    total.dropped += r.dropped;
-    total.failed += r.failed;
-    total.goodput += r.goodput;
-    total.deadline_missed += r.deadline_missed;
-    total.crashed_attempts += r.crashed_attempts;
-    total.retries += r.retries;
-    total.retry_budget_denied += r.retry_budget_denied;
-    total.hedges += r.hedges;
-    total.breaker_trips += r.breaker_trips;
-    total.breaker_probes += r.breaker_probes;
-    total.forks += r.forks;
-    total.cow_pages_copied += r.cow_pages_copied;
-    total.backoff_cycles += r.backoff_cycles;
-    total.gauge_samples += r.gauge_samples;
+    for (const auto& [key, counter] : kTotals) total.*counter += r.*counter;
     for (const auto& [cause, count] : r.drops) total.drops[cause] += count;
 
+    JsonObject entry;
+    for (std::size_t i = 0; i < kEntryAccounting; ++i) {
+      entry.add(kTotals[i].first, r.*kTotals[i].second);
+    }
     const auto phase = [](const workload::PhaseStats& p) {
       return JsonObject().add("arrivals", p.arrivals).add("goodput", p.goodput);
     };
-    configs[tag] =
-        JsonObject()
-            .add("requests", r.requests)
-            .add("completed", r.completed)
-            .add("dropped", r.dropped)
-            .add("failed", r.failed)
-            .add("goodput", r.goodput)
-            .add("deadline_missed", r.deadline_missed)
-            .add("crashed_attempts", r.crashed_attempts)
-            .add("retries", r.retries)
-            .add("breaker_trips", r.breaker_trips)
-            .add("phases", JsonObject()
-                               .add("pre_storm", phase(r.pre_storm))
-                               .add("storm", phase(r.storm))
-                               .add("post_storm", phase(r.post_storm)))
-            .add("latency", JsonObject()
-                                .add("p50", r.latency.p50())
-                                .add("p90", r.latency.p90())
-                                .add("p99", r.latency.p99())
-                                .add("p999", r.latency.p999())
-                                .add("max", r.latency.max())
-                                .add("count", r.latency.count()));
+    entry.add("breaker_trips", r.breaker_trips)
+        .add("phases", JsonObject()
+                           .add("pre_storm", phase(r.pre_storm))
+                           .add("storm", phase(r.storm))
+                           .add("post_storm", phase(r.post_storm)))
+        .add("latency", JsonObject()
+                            .add("p50", r.latency.p50())
+                            .add("p90", r.latency.p90())
+                            .add("p99", r.latency.p99())
+                            .add("p999", r.latency.p999())
+                            .add("max", r.latency.max())
+                            .add("count", r.latency.count()));
+    configs[tag] = std::move(entry);
   }
-  return JsonObject()
-      .add("requests", total.requests)
-      .add("completed", total.completed)
-      .add("dropped", total.dropped)
-      .add("failed", total.failed)
-      .add("goodput", total.goodput)
-      .add("deadline_missed", total.deadline_missed)
-      .add("crashed_attempts", total.crashed_attempts)
-      .add("retries", total.retries)
-      .add("retry_budget_denied", total.retry_budget_denied)
-      .add("hedges", total.hedges)
-      .add("breaker_trips", total.breaker_trips)
-      .add("breaker_probes", total.breaker_probes)
-      .add("forks", total.forks)
-      .add("cow_pages_copied", total.cow_pages_copied)
-      .add("backoff_cycles", total.backoff_cycles)
-      .add("gauge_samples", total.gauge_samples)
-      .add("drops", total.drops)
-      .add("configs", configs);
+  JsonObject section;
+  for (const auto& [key, counter] : kTotals) section.add(key, total.*counter);
+  return section.add("drops", total.drops).add("configs", configs);
 }
 
 std::string to_json(

@@ -304,7 +304,6 @@ int run(const Options& options) {
   }
 
   bench::BenchReporter reporter("acs_lint", options.bench, /*base_seed=*/1);
-  std::map<Code, std::size_t> totals;
   std::vector<Code> seen;
   // Totals for the "lint" section, in fixed (scheme, workload) order.
   u64 programs = 0;
@@ -331,7 +330,6 @@ int run(const Options& options) {
         }
       }
       for (const auto& d : report.diagnostics) {
-        ++totals[d.code];
         ++findings_by_code[verify::code_name(d.code)];
         ++findings_by_function[d.function];
       }
@@ -429,13 +427,14 @@ int run(const Options& options) {
   reporter.record("diagnostics_total",
                   static_cast<double>(diagnostics), "diagnostics");
   for (int i = 1; i <= 8; ++i) {
-    const Code code = static_cast<Code>(i);
-    std::string metric = verify::code_name(code);
+    const std::string code = verify::code_name(static_cast<Code>(i));
+    std::string metric = code;
     for (char& c : metric) c = static_cast<char>(std::tolower(c));
-    const auto it = totals.find(code);
+    const auto it = findings_by_code.find(code);
     reporter.record(metric,
-                    it == totals.end() ? 0.0
-                                       : static_cast<double>(it->second),
+                    it == findings_by_code.end()
+                        ? 0.0
+                        : static_cast<double>(it->second),
                     "diagnostics");
   }
   reporter.record("clean", diagnostics == 0 ? 1.0 : 0.0, "bool");

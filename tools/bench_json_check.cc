@@ -18,6 +18,7 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "bench/json_view.h"
@@ -115,30 +116,24 @@ const SectionRule kSectionRules[] = {
      {}},
 };
 
-/// Check `rule` against the object at `where`, starting at path segment
-/// `segment` of the rule.
-std::string check_rule(const SectionRule& rule,
-                       const std::vector<std::string>& segments,
-                       std::size_t segment, const Object& object,
-                       const std::string& where) {
-  if (segment < segments.size()) {
-    const std::string& key = segments[segment];
-    if (key == "*") {
-      for (const auto& [name, child] : object) {
-        const std::string path = where + "." + name;
-        if (child.object() == nullptr) return "'" + path + "' is not an object";
-        std::string error =
-            check_rule(rule, segments, segment + 1, *child.object(), path);
-        if (!error.empty()) return error;
-      }
-      return {};
+/// Check `rule` below `object` (reached at dotted path `where`), with
+/// `path` the part of the rule's path still to walk.
+std::string check_rule(const SectionRule& rule, std::string_view path,
+                       const Object& object, const std::string& where) {
+  if (!path.empty()) {
+    const std::size_t dot = path.find('.');
+    const std::string key(path.substr(0, dot));
+    const std::string_view rest =
+        dot == std::string_view::npos ? "" : path.substr(dot + 1);
+    for (const auto& [name, child] : object) {
+      if (key != "*" && name != key) continue;
+      const std::string at = where.empty() ? name : where + "." + name;
+      if (child.object() == nullptr) return "'" + at + "' is not an object";
+      std::string error = check_rule(rule, rest, *child.object(), at);
+      if (!error.empty()) return error;
     }
-    const std::string path = where + "." + key;
-    const Value* child = find(object, key);
-    if (child == nullptr || child->object() == nullptr) {
-      return "'" + path + "' missing or not an object";
-    }
-    return check_rule(rule, segments, segment + 1, *child->object(), path);
+    if (key == "*" || find(object, key) != nullptr) return {};
+    return "'" + where + "." + key + "' missing";
   }
   for (const char* key : rule.numbers) {
     const Value* v = find(object, key);
@@ -163,18 +158,10 @@ std::string check_rule(const SectionRule& rule,
 /// Apply every rule of kSectionRules whose section is present.
 std::string check_section_rules(const Object& top) {
   for (const SectionRule& rule : kSectionRules) {
-    std::vector<std::string> segments;
-    std::stringstream path(rule.path);
-    for (std::string segment; std::getline(path, segment, '.');) {
-      segments.push_back(segment);
-    }
-    const Value* section = find(top, segments.front());
-    if (section == nullptr) continue;
-    if (section->object() == nullptr) {
-      return "'" + segments.front() + "' is not an object";
-    }
-    std::string error =
-        check_rule(rule, segments, 1, *section->object(), segments.front());
+    const std::string_view path(rule.path);
+    const std::string section(path.substr(0, path.find('.')));
+    if (find(top, section) == nullptr) continue;  // sections are optional
+    std::string error = check_rule(rule, path, top, "");
     if (!error.empty()) return error;
   }
   return {};

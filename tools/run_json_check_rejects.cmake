@@ -36,30 +36,25 @@ set(lint_doc [=[{
 }
 ]=])
 
-set(case_index 0)
-
-# run_checker(<body> <rc-var> <stderr-var>)
-function(run_checker body rc_var err_var)
-  math(EXPR index "${case_index} + 1")
-  set(case_index ${index} PARENT_SCOPE)
-  set(path "${SCRATCH}/json_check_case_${index}.json")
+# check(<name> <body> <rc-var> <stderr-var>): run the checker on <body>.
+# The file path is cut from stderr, so only the message itself can match.
+function(check name body rc_var err_var)
+  set(path "${SCRATCH}/json_check_${name}.json")
   file(WRITE "${path}" "${body}")
   execute_process(COMMAND "${CHECKER}" "${path}"
-                  RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
+                  RESULT_VARIABLE rc OUTPUT_QUIET ERROR_VARIABLE err)
+  string(REPLACE "${path}" "" err "${err}")
   set(${rc_var} "${rc}" PARENT_SCOPE)
   set(${err_var} "${err}" PARENT_SCOPE)
 endfunction()
 
-# accept(<doc-var>): the unbroken base document must pass, or every
-# rejection below would prove nothing.
-function(accept doc_var)
-  run_checker("${${doc_var}}" rc err)
-  set(case_index ${case_index} PARENT_SCOPE)
+# Each unbroken base document must pass, or the rejections prove nothing.
+foreach(doc faults_doc kernels_doc topology_doc fuzz_doc lint_doc)
+  check(${doc} "${${doc}}" rc err)
   if(NOT rc EQUAL 0)
-    message(FATAL_ERROR "base document ${doc_var} rejected (exit ${rc}):\n"
-                        "${err}")
+    message(FATAL_ERROR "base document ${doc} rejected (exit ${rc}):\n${err}")
   endif()
-endfunction()
+endforeach()
 
 # reject(<name> <doc-var> <from> <to> <expected stderr substring>...)
 function(reject name doc_var from to)
@@ -67,24 +62,18 @@ function(reject name doc_var from to)
   if(body STREQUAL "${${doc_var}}")
     message(FATAL_ERROR "case '${name}': '${from}' not found in ${doc_var}")
   endif()
-  run_checker("${body}" rc err)
-  set(case_index ${case_index} PARENT_SCOPE)
+  check(${name} "${body}" rc err)
   if(rc EQUAL 0)
     message(FATAL_ERROR "case '${name}': bench_json_check accepted it")
   endif()
   foreach(expected IN LISTS ARGN)
     string(FIND "${err}" "${expected}" at)
     if(at EQUAL -1)
-      message(FATAL_ERROR "case '${name}': stderr does not name "
-                          "'${expected}':\n${err}")
+      message(FATAL_ERROR
+              "case '${name}': stderr does not name '${expected}':\n${err}")
     endif()
   endforeach()
-  message(STATUS "rejected: ${name}")
 endfunction()
-
-foreach(doc faults_doc kernels_doc topology_doc fuzz_doc lint_doc)
-  accept(${doc})
-endforeach()
 
 # --- top level and obs ----------------------------------------------------
 reject(missing-top-level-key topology_doc [=["schema_version": 1,]=] ""
