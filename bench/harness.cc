@@ -175,8 +175,9 @@ JsonObject& JsonObject::add(const std::string& key, double value) {
 }
 
 JsonObject& JsonObject::add(const std::string& key, const std::string& value) {
-  fields_.push_back(
-      Field{.key = key, .scalar = "\"" + escape_json(value) + "\""});
+  std::string quoted = "\"";
+  quoted.append(escape_json(value)).append("\"");
+  fields_.push_back(Field{.key = key, .scalar = std::move(quoted)});
   return *this;
 }
 
@@ -197,13 +198,13 @@ std::string JsonObject::render(const std::vector<Field>& fields, int indent) {
   std::string out = "{";
   for (std::size_t i = 0; i < fields.size(); ++i) {
     const Field& field = fields[i];
-    if (i > 0) out += ",";
-    out += nested ? "\n" + pad : (i > 0 ? " " : "");
-    out += "\"" + escape_json(field.key) + "\": ";
+    if (i > 0) out += nested ? "," : ", ";
+    if (nested) out.append("\n").append(pad);
+    out.append("\"").append(escape_json(field.key)).append("\": ");
     out += field.scalar.empty() ? render(field.object, indent + 2)
                                 : field.scalar;
   }
-  if (nested) out += "\n" + std::string(static_cast<std::size_t>(indent), ' ');
+  if (nested) out.append("\n").append(static_cast<std::size_t>(indent), ' ');
   return out + "}";
 }
 
