@@ -1,11 +1,12 @@
 # Pins the thread-invariance determinism contract shared by the campaign
 # benches (bench_fault_availability, bench_serving_tail,
-# bench_serving_topology, bench_kernel_sweep, bench_table1_security): the
-# JSON trajectory — the "metrics" array and every deterministic section
-# ("obs", "faults", "topology", "kernels") — must be bitwise identical for
-# --threads 1, 2 and 8. Only
-# host timing (wall_seconds) and the echoed thread count may differ, so
-# both lines are stripped before comparing.
+# bench_serving_topology, bench_kernel_sweep, bench_table1_security,
+# bench_table3_nginx): the JSON trajectory — the "metrics" array and every
+# deterministic section ("obs", "faults", "topology", "kernels") — must be
+# bitwise identical for --threads 1, 2 and 8. Only host timing
+# (wall_seconds) and the echoed thread count may differ, so both lines are
+# stripped before comparing. Every one of these benches also passes DIFF
+# and REFERENCE (bench/smoke.cmake).
 #
 # Optionally (when DIFF and REFERENCE are given) the threads=1 trajectory
 # is also compared against the checked-in reference JSON with acs-bench-diff
